@@ -1,12 +1,20 @@
-# CI entry points for the reproduction. `make ci` is the gate: it vets,
-# builds, runs the test suite twice (plain and -race), and enforces that
-# every internal/* package carries a godoc package comment.
+# CI entry points for the reproduction. `make ci` is the gate: it checks
+# formatting, vets, builds, runs the test suite twice (plain and -race),
+# and enforces that every internal/* package carries a godoc package
+# comment.
 
 GO ?= go
 
-.PHONY: ci vet build test race doccheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci fmtcheck vet build test race doccheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
 
-ci: vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
+ci: fmtcheck vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
+
+# Every tracked Go file must be gofmt-clean. The file list comes from git,
+# not a directory walk, so build outputs under the tree are never checked.
+fmtcheck:
+	@files=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "fmtcheck: not gofmt-clean:"; echo "$$files"; exit 1; fi; \
+	echo "fmtcheck: all tracked Go files gofmt-clean"
 
 vet:
 	$(GO) vet ./...

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 
+	"mpicollperf/internal/atomicfile"
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/estimate"
@@ -161,22 +162,9 @@ func (s *Selector) CalibrateExtendedOp(ctx context.Context, op string, cfg estim
 	if !ok {
 		return fmt.Errorf("core: unknown collective family %q", op)
 	}
-	sel := &selection.ExtendedSelector{
-		Cluster: s.Profile.Name,
-		SegSize: s.Profile.SegmentSize,
-		Gamma:   s.Models.Gamma,
-		Specs:   specs,
-		Params:  make([]model.Hockney, len(specs)),
-	}
-	for i, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := estimate.AlphaBetaCollective(s.Profile, spec, s.Models.Gamma, cfg)
-		if err != nil {
-			return fmt.Errorf("core: calibrating %s: %w", spec.Name, err)
-		}
-		sel.Params[i] = res.Params
+	sel, err := selection.CalibrateExtended(ctx, s.Profile, specs, s.Models.Gamma, cfg)
+	if err != nil {
+		return err
 	}
 	if s.Extended == nil {
 		s.Extended = make(map[string]*selection.ExtendedSelector)
@@ -247,7 +235,8 @@ type calibrationFile struct {
 	} `json:"params"`
 }
 
-// SaveModels writes the calibrated models to a JSON file.
+// SaveModels writes the calibrated models to a JSON file, atomically: a
+// crash mid-write leaves the previous file (or none), never a torn one.
 func (s *Selector) SaveModels(path string) error {
 	var f calibrationFile
 	f.Version = CalibrationSchemaVersion
@@ -273,7 +262,7 @@ func (s *Selector) SaveModels(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return atomicfile.WriteFile(path, data, 0o644)
 }
 
 // LoadModels reads a calibration JSON and attaches it to the profile,

@@ -127,13 +127,6 @@ type AlphaBetaConfig struct {
 	// experiment.Cache); repeated calibrations of the same profile with
 	// the same settings skip their measurements entirely.
 	Cache *experiment.Cache
-	// DisablePlanTemplates switches off the calibration sweep's
-	// plan-template fast path (capture one execution plan per structure
-	// class, rebind it goroutine-free for every other grid point); every
-	// replay-eligible point then captures its own plan. Fitted parameters
-	// are bit-identical either way; the switch exists for benchmarking
-	// and debugging.
-	DisablePlanTemplates bool
 	// Progress, if non-nil, observes every completed measurement.
 	Progress experiment.Progress
 	// Metrics, if non-nil, receives the calibration sweep's counters plus
@@ -146,13 +139,12 @@ type AlphaBetaConfig struct {
 // sweep builds the measurement engine the config describes.
 func (c AlphaBetaConfig) sweep(pr cluster.Profile) experiment.Sweep {
 	return experiment.Sweep{
-		Profile:          pr,
-		Settings:         c.Settings,
-		Workers:          c.Workers,
-		Cache:            c.Cache,
-		DisableTemplates: c.DisablePlanTemplates,
-		Progress:         c.Progress,
-		Metrics:          c.Metrics,
+		Profile:  pr,
+		Settings: c.Settings,
+		Workers:  c.Workers,
+		Cache:    c.Cache,
+		Progress: c.Progress,
+		Metrics:  c.Metrics,
 	}
 }
 
@@ -263,15 +255,11 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 		xs = append(xs, eq.B/eq.A)
 		ys = append(ys, eq.T/eq.A)
 	}
-	// Huber regression on relative residuals: the experiment times span
-	// three decades across the message grid, and relative weighting keeps
-	// the small-message equations (which pin down α) from being drowned by
-	// the large-message ones (which pin down β).
-	fit, err := stats.RelativeHuberRegression(xs, ys)
+	fit, params, err := solveHockney(xs, ys)
 	if err != nil {
 		return AlphaBetaResult{}, err
 	}
-	res.Fit = fit
+	res.Fit, res.Params = fit, params
 	if m := cfg.Metrics; m != nil {
 		m.Gauge(obs.Name("estimate_fit_iterations", "alg", alg.String())).Set(float64(fit.Iterations))
 		// Residual norm on the relative scale the regression minimised:
@@ -283,18 +271,31 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 		}
 		m.Gauge(obs.Name("estimate_fit_residual_norm", "alg", alg.String())).Set(math.Sqrt(ss / float64(len(xs))))
 	}
-	res.Params = model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope}
-	// Timing experiments cannot produce negative costs; clamp tiny
-	// negative intercepts that the regression may emit when α is far
-	// below the resolution of the experiments (the paper's fitted α are
-	// as small as 1e-13 s).
-	if res.Params.Alpha < 0 {
-		res.Params.Alpha = 0
-	}
-	if res.Params.Beta < 0 {
-		res.Params.Beta = 0
-	}
 	return res, nil
+}
+
+// solveHockney solves the canonical form α + β·x = y of a Fig. 4 system
+// (x = B/A, y = T/A per equation) by Huber regression on relative
+// residuals: the experiment times span three decades across the message
+// grid, and relative weighting keeps the small-message equations (which
+// pin down α) from being drowned by the large-message ones (which pin
+// down β). Timing experiments cannot produce negative costs, so tiny
+// negative estimates — which the regression may emit when α is far below
+// the resolution of the experiments (the paper's fitted α are as small
+// as 1e-13 s) — are clamped to zero.
+func solveHockney(xs, ys []float64) (stats.LinearFit, model.Hockney, error) {
+	fit, err := stats.RelativeHuberRegression(xs, ys)
+	if err != nil {
+		return stats.LinearFit{}, model.Hockney{}, err
+	}
+	h := model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope}
+	if h.Alpha < 0 {
+		h.Alpha = 0
+	}
+	if h.Beta < 0 {
+		h.Beta = 0
+	}
+	return fit, h, nil
 }
 
 // Models runs the full §4 pipeline for a platform: γ estimation followed

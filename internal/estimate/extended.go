@@ -8,7 +8,6 @@ import (
 	"mpicollperf/internal/experiment"
 	"mpicollperf/internal/model"
 	"mpicollperf/internal/mpi"
-	"mpicollperf/internal/stats"
 )
 
 // CollectiveSpec generalises the paper's per-algorithm estimation beyond
@@ -61,17 +60,9 @@ func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma,
 		xs = append(xs, b/a)
 		ys = append(ys, meas.Mean/a)
 	}
-	fit, err := stats.RelativeHuberRegression(xs, ys)
+	res.Fit, res.Params, err = solveHockney(xs, ys)
 	if err != nil {
 		return AlphaBetaResult{}, err
-	}
-	res.Fit = fit
-	res.Params = model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope}
-	if res.Params.Alpha < 0 {
-		res.Params.Alpha = 0
-	}
-	if res.Params.Beta < 0 {
-		res.Params.Beta = 0
 	}
 	return res, nil
 }

@@ -102,7 +102,8 @@ func BenchmarkPlanCache(b *testing.B) {
 	}
 	point := func(b *testing.B, set Settings, store *mpi.TemplateStore) {
 		b.Helper()
-		if _, err := measureBcastOn(reuse, pr, pr.Nodes, coll.BcastBinomial, m, pr.SegmentSize, set, store); err != nil {
+		pt := Point{Alg: coll.BcastBinomial, Procs: pr.Nodes, MsgBytes: m, SegSize: pr.SegmentSize}
+		if _, err := measurePoint(reuse, pr, set, pt, store); err != nil {
 			b.Fatal(err)
 		}
 	}

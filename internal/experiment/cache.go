@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"mpicollperf/internal/atomicfile"
 	"mpicollperf/internal/cluster"
 )
 
@@ -164,10 +165,6 @@ func (c *Cache) put(key string, m Measurement) {
 	if err != nil {
 		return
 	}
-	// Write-then-rename so a concurrent reader never sees a torn file.
-	tmp := filepath.Join(c.dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(c.dir, key+".json"))
+	// Best effort: a failed write only costs a later re-measurement.
+	_ = atomicfile.WriteFile(filepath.Join(c.dir, key+".json"), data, 0o644)
 }

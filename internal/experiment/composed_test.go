@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -8,10 +9,10 @@ import (
 	"mpicollperf/internal/mpi"
 )
 
-// TestMeasureComposedMatchesBcastThenGather pins the shim contract: the
-// old bespoke bcast+gather helper and an explicit MeasureComposed of the
-// same two stages are the same measurement, bit for bit, with and without
-// a template store attached.
+// TestMeasureComposedMatchesBcastThenGather pins the sweep's §4.2 point
+// to the general composition: a PointBcastThenGather sweep point and an
+// explicit MeasureComposedClass of the same two stages are the same
+// measurement, bit for bit, with and without a template store attached.
 func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	pr, err := cluster.Grisou().WithNodes(8)
 	if err != nil {
@@ -36,22 +37,24 @@ func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 		},
 	}
 
-	want, err := MeasureBcastThenGather(pr, nprocs, coll.BcastBinomial, m, pr.SegmentSize, mg, set)
+	pt := Point{Kind: PointBcastThenGather, Alg: coll.BcastBinomial, Procs: nprocs, MsgBytes: m, SegSize: pr.SegmentSize, GatherBytes: mg}
+	res, err := Sweep{Profile: pr, Settings: set, DisableTemplates: true}.Run(context.Background(), []Point{pt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureComposed(pr, nprocs, set, RootTime, stages...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMeasurement(t, "composed vs bespoke", want, got)
-
-	// Template fast path: the first composed measurement of a class
-	// captures, the second rebinds — both bit-identical to the shim.
+	want := res[0].Meas
 	r, err := newProfileRunner(pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, "", nil, stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMeasurement(t, "composed vs sweep point", want, got)
+
+	// Template fast path: the first composed measurement of a class
+	// captures, the second rebinds — both bit-identical to the sweep point.
 	tmpl := mpi.NewTemplateStore()
 	key := "test/bcast+gather/P=8/segs=8"
 	for pass, label := range []string{"capture", "rebind"} {
@@ -71,10 +74,14 @@ func TestMeasureComposedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureComposed(pr, 4, fastSettings(), Completion); err == nil {
-		t.Error("MeasureComposed accepted an empty stage list")
+	r, err := newProfileRunner(pr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MeasureComposed(pr, 8, fastSettings(), Completion, func(p *mpi.Proc) {}); err == nil {
-		t.Error("MeasureComposed accepted more procs than the profile has nodes")
+	if _, err := MeasureComposedClass(r, pr, 4, fastSettings(), Completion, "", nil); err == nil {
+		t.Error("MeasureComposedClass accepted an empty stage list")
+	}
+	if _, err := MeasureComposedClass(r, pr, 8, fastSettings(), Completion, "", nil, func(p *mpi.Proc) {}); err == nil {
+		t.Error("MeasureComposedClass accepted more procs than the profile has nodes")
 	}
 }

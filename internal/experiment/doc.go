@@ -32,10 +32,23 @@
 //
 // MeasureBcast times one (algorithm, P, m, segment) broadcast
 // configuration in Completion mode — one point of the paper's comparison
-// figures. MeasureLinearBcast is the §4.1 γ(P) experiment (non-blocking
-// linear broadcast of a single segment), and MeasureBcastThenGather the
-// §4.2 estimation experiment (the modelled broadcast followed by a small
-// linear gather, timed on the root).
+// figures; with the non-blocking linear algorithm and a single segment it
+// is the §4.1 γ(P) experiment. The §4.2 estimation experiment (the
+// modelled broadcast followed by a small linear gather, timed on the
+// root) is the sweep's PointBcastThenGather kind, and MeasureComposedClass
+// measures any chain of stages.
+//
+// # Execution engines
+//
+// Every engine feeds one stopping rule (the MPIBlib criterion above). The
+// scheduler engine runs every repetition under the full MPI scheduler.
+// The replay engine captures repetition 0 as an mpi.Plan, replays
+// repetition 1 and validates the plan with an echo run — mpi's
+// goroutine-free plan walk with replayed clocks — then re-times the rest
+// in lane batches. The template fast path rebinds a structure class's
+// validated plan (the same walk with the clock frozen) and re-times
+// every repetition with the same lane-batched loop. Samples are
+// bit-identical across engines.
 //
 // # Sweep engine
 //

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mpicollperf/internal/cluster"
@@ -341,32 +342,122 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 	return meas, err
 }
 
-// measureScheduler is the full-scheduler repetition loop: one simulated
-// MPI program whose root collects samples and decides whether to
-// continue; the decision is shared with the other ranks through a flag
-// written by the root strictly before a barrier that the others read
-// strictly after (the runtime's scheduler provides the necessary
-// happens-before edges).
-func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, error) {
-	var (
-		meas Measurement
-		stop bool
-	)
+// stopRule is the paper's MPIBlib stopping rule (§5.1), shared by every
+// engine: after set.Warmup unmeasured repetitions, samples accumulate
+// until the Student-t confidence interval of their mean is within
+// set.Precision of the mean (with at least set.MinReps samples) or
+// set.MaxReps samples are in.
+type stopRule struct {
+	set  Settings
+	meas Measurement
+	done bool
+}
+
+func newStopRule(set Settings) *stopRule {
 	// Size the sample buffer for the worst case up front: the append in
 	// the hot loop then never regrows, and a sweep's measurement loop
 	// allocates one slice per point instead of a regrowth ladder.
-	meas.Samples = make([]float64, 0, set.MaxReps)
-	_, err := r.Run(nprocs, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
+	return &stopRule{set: set, meas: Measurement{Samples: make([]float64, 0, set.MaxReps)}}
+}
+
+// add records repetition rep's sample (dropped while rep is a warm-up
+// repetition) and sets done once the measurement is complete.
+func (s *stopRule) add(rep int, sample float64) {
+	if rep < s.set.Warmup {
+		return
+	}
+	s.meas.Samples = append(s.meas.Samples, sample)
+	if n := len(s.meas.Samples); n >= s.set.MinReps {
+		ci, err := stats.MeanCI(s.meas.Samples, s.set.Confidence)
+		converged := err == nil && ci.RelativeError() <= s.set.Precision
+		if converged || n >= s.set.MaxReps {
+			s.meas.CI = ci
+			s.meas.Converged = converged
+			s.done = true
+		}
+	}
+}
+
+// lanes is the replay batch size for a replay starting at repetition rep:
+// replayLanes, capped by the repetitions left in the budget.
+func (s *stopRule) lanes(rep int) int {
+	return min(replayLanes, s.set.Warmup+s.set.MaxReps-rep)
+}
+
+// replay re-times repetitions rep, rep+1, ... with rp, chained from its
+// last replayed state, until the rule is met or repetition until is
+// reached, and returns the next repetition index. Repetitions up to the
+// first possible convergence decision are batched up to lanes at a time;
+// after that each repetition may be the last, so they replay one by one.
+// bc is the barrier cost Completion samples subtract.
+func (s *stopRule) replay(rp *mpi.Replayer, rep, until, lanes int, mode Mode, bc float64) (int, error) {
+	firstDecision := s.set.Warmup + s.set.MinReps - 1
+	until = min(until, s.set.Warmup+s.set.MaxReps)
+	for !s.done && rep < until {
+		k := 1
+		if rep <= firstDecision {
+			k = firstDecision - rep + 1
+		}
+		k = min(k, lanes, until-rep)
+		marks, ok := rp.Replay(k)
+		if !ok {
+			return rep, fmt.Errorf("experiment: replayed plan does not close over a repetition")
+		}
+		for l := 0; l < k && !s.done; l++ {
+			sample := marks[l*2+1] - marks[l*2]
+			if mode == Completion {
+				sample -= bc
+			}
+			s.add(rep, sample)
+			rep++
+		}
+	}
+	return rep, nil
+}
+
+// result completes the measurement with its summary statistics.
+func (s *stopRule) result() Measurement {
+	meas := s.meas
+	meas.Mean = stats.Mean(meas.Samples)
+	meas.Reps = len(meas.Samples)
+	_, meas.NormalityP = stats.JarqueBera(meas.Samples)
+	meas.Lag1 = stats.Lag1Autocorrelation(meas.Samples)
+	return meas
+}
+
+// program is the repetition loop as one simulated MPI program: the root
+// feeds every repetition's sample to the rule and decides whether to
+// continue; the decision is shared with the other ranks through the
+// rule's done flag, written by the root strictly before a barrier that
+// the others read strictly after (the runtime's scheduler provides the
+// necessary happens-before edges). The root stores the calibrated
+// barrier cost in *bc.
+//
+// With capture set the program stops after repetition 0, whose root
+// brackets it with marks — the repetition boundary, then the sample's
+// start and end — so a capturing run compiles into a plan of exactly one
+// repetition for the replay engine to re-time.
+func (s *stopRule) program(mode Mode, op Op, capture bool, bc *float64) func(*mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		mark := capture && p.Rank() == 0
 		// Calibrate the (deterministic) barrier cost.
 		p.Barrier()
 		t0 := p.Now()
 		p.Barrier()
 		barrierCost := p.Now() - t0
+		if p.Rank() == 0 {
+			*bc = barrierCost
+		}
 
 		for rep := 0; ; rep++ {
+			if mark {
+				p.Mark() // repetition boundary
+			}
 			p.Barrier() // open: align all ranks
 			start := p.Now()
+			if mark {
+				p.Mark() // sample start
+			}
 			op(p)
 			var sample float64
 			switch mode {
@@ -376,37 +467,27 @@ func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op)
 			default:
 				sample = p.Now() - start
 			}
-			if root && rep >= set.Warmup {
-				meas.Samples = append(meas.Samples, sample)
-				n := len(meas.Samples)
-				if n >= set.MinReps {
-					ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-					converged := err == nil && ci.RelativeError() <= set.Precision
-					if converged || n >= set.MaxReps {
-						meas.CI = ci
-						meas.Converged = converged
-						stop = true
-					}
-				}
+			if mark {
+				p.Mark() // sample end
+			}
+			if p.Rank() == 0 {
+				s.add(rep, sample)
 			}
 			p.Barrier() // decide: publish the root's stop flag
-			if stop {
+			if s.done || capture {
 				return nil
 			}
 		}
-	})
-	if err != nil {
-		return Measurement{}, err
 	}
-	return finishMeasurement(meas), nil
 }
 
-func finishMeasurement(meas Measurement) Measurement {
-	meas.Mean = stats.Mean(meas.Samples)
-	meas.Reps = len(meas.Samples)
-	_, meas.NormalityP = stats.JarqueBera(meas.Samples)
-	meas.Lag1 = stats.Lag1Autocorrelation(meas.Samples)
-	return meas
+// measureScheduler runs every repetition under the full scheduler.
+func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, error) {
+	rule := newStopRule(set)
+	if _, err := r.Run(nprocs, rule.program(mode, op, false, new(float64))); err != nil {
+		return Measurement{}, err
+	}
+	return rule.result(), nil
 }
 
 // replayLanes bounds how many repetitions one replay batch re-times; the
@@ -414,17 +495,41 @@ func finishMeasurement(meas Measurement) Measurement {
 // lane-major (see mpi.Replayer).
 const replayLanes = 8
 
+// repetition is one repetition of a replayable measurement as a plan
+// walk sees it: the open barrier, the sample marks around op, and the
+// decide barrier. Captured plans span exactly this, so echo runs and
+// rebind passes re-execute it.
+func repetition(mode Mode, op Op) func(*mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		root := p.Rank() == 0
+		p.Barrier() // open: align all ranks
+		if root {
+			p.Mark() // sample start
+		}
+		op(p)
+		if mode == Completion {
+			p.Barrier() // close: wait for global completion
+		}
+		if root {
+			p.Mark() // sample end
+		}
+		p.Barrier() // decide (chains repetitions exactly as captured)
+		return nil
+	}
+}
+
 // measureReplay is the capture-then-replay repetition loop. It executes
 // repetition 0 under the scheduler in a capturing program whose root
 // brackets the repetition with marks, compiles the repetition into a
 // Plan, replays repetition 1, and validates the plan with an echo run:
 // the repetition's closures re-executed against the replayed clocks,
-// every submitted operation byte-compared with the plan (mpi.EchoRun).
-// The echo proves the program's structure does not depend on the jitter
-// drawn, so repetitions 2..N are re-timed by the same mpi.Replayer,
-// which continues the captured program's exact state (clocks, NIC ports,
-// noise-stream position). The sample sequence, and therefore the
-// Measurement, is bit-identical to measureScheduler's.
+// every submitted operation compared with the plan (mpi.Runner.EchoRun,
+// the rebind walk with replayed clocks). The echo proves the program's
+// structure does not depend on the jitter drawn, so repetitions 2..N are
+// re-timed by the same mpi.Replayer, which continues the captured
+// program's exact state (clocks, NIC ports, noise-stream position). The
+// sample sequence, and therefore the Measurement, is bit-identical to
+// measureScheduler's.
 //
 // A non-empty reason means the measurement belongs to the scheduler
 // engine — the echo detected structural divergence, the program carries
@@ -434,45 +539,12 @@ const replayLanes = 8
 // When a structure class is attached, the plan is published to the
 // class's template store once the echo run has validated it, so later
 // points of the class rebind it instead of capturing.
-func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (meas Measurement, reason FallbackReason, err error) {
-	var (
-		captured    float64
-		barrierCost float64
-	)
-	res, cap, err := r.RunCapture(nprocs, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
-		// Calibrate the (deterministic) barrier cost, as measureScheduler
-		// does.
-		p.Barrier()
-		t0 := p.Now()
-		p.Barrier()
-		bc := p.Now() - t0
-
-		if root {
-			p.Mark() // repetition boundary
-		}
-		p.Barrier() // open: align all ranks
-		start := p.Now()
-		if root {
-			p.Mark() // sample start
-		}
-		op(p)
-		var sample float64
-		switch mode {
-		case Completion:
-			p.Barrier() // close: wait for global completion
-			sample = p.Now() - start - bc
-		default:
-			sample = p.Now() - start
-		}
-		if root {
-			p.Mark() // sample end
-			captured = sample
-			barrierCost = bc
-		}
-		p.Barrier() // decide (kept so replayed repetitions chain exactly)
-		return nil
-	})
+func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, FallbackReason, error) {
+	// Repetition 0 runs under the scheduler, feeding the rule exactly as
+	// the scheduler engine's loop does; replayed samples continue it.
+	rule := newStopRule(set)
+	var barrierCost float64
+	res, cap, err := r.RunCapture(nprocs, rule.program(mode, op, true, &barrierCost))
 	if err != nil {
 		return Measurement{}, FallbackNone, err
 	}
@@ -495,125 +567,40 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cl
 		return Measurement{}, FallbackPlan, nil
 	}
 
-	// Replicate the adaptive decision of the scheduler loop's root over
-	// the sample sequence, captured then replayed. As in measureScheduler,
-	// the sample buffer is sized for MaxReps once.
-	meas.Samples = make([]float64, 0, set.MaxReps)
-	stop := false
-	push := func(sample float64) {
-		meas.Samples = append(meas.Samples, sample)
-		n := len(meas.Samples)
-		if n >= set.MinReps {
-			ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-			converged := err == nil && ci.RelativeError() <= set.Precision
-			if converged || n >= set.MaxReps {
-				meas.CI = ci
-				meas.Converged = converged
-				stop = true
-			}
-		}
+	// One sample cannot stop the rule (MinReps >= 2), so repetition 1 is
+	// always replayed.
+	lanes := rule.lanes(1)
+	// The Runner's recycled replayer: bit-identical to a fresh
+	// mpi.NewReplayer, without rebuilding the lane buffers per point.
+	rp, err := r.NewReplayer(plan, res.FinishTimes, lanes)
+	if err != nil {
+		return Measurement{}, FallbackNone, err
 	}
-	if set.Warmup == 0 {
-		push(captured)
+	// Replay repetition 1 alone, then echo-validate the plan against its
+	// clocks before trusting any replayed sample.
+	rep, err := rule.replay(rp, 1, 2, lanes, mode, barrierCost)
+	if err != nil {
+		return Measurement{}, FallbackPlan, nil
 	}
-	rep := 1
-	if !stop {
-		lanes := replayLanes
-		if rem := set.Warmup + set.MaxReps - rep; rem < lanes {
-			lanes = rem
-		}
-		if lanes < 1 {
-			// The scheduler loop would already have stopped; defensive.
-			return Measurement{}, FallbackPlan, nil
-		}
-		// The Runner's recycled replayer: bit-identical to a fresh
-		// mpi.NewReplayer, without rebuilding the lane buffers per point.
-		rp, rerr := r.NewReplayer(plan, res.FinishTimes, lanes)
-		if rerr != nil {
-			return Measurement{}, FallbackNone, rerr
-		}
-		// Replay repetition 1 alone, then echo-validate the plan against
-		// its clocks before trusting any replayed sample.
-		marks, mok := rp.Replay(1)
-		if !mok {
-			return Measurement{}, FallbackPlan, nil
-		}
-		eerr := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, func(p *mpi.Proc) error {
-			root := p.Rank() == 0
-			p.Barrier()
-			if root {
-				p.Mark()
-			}
-			op(p)
-			if mode == Completion {
-				p.Barrier()
-			}
-			if root {
-				p.Mark()
-			}
-			p.Barrier()
-			return nil
-		})
-		if eerr != nil {
-			return Measurement{}, FallbackEchoDivergence, nil
-		}
-		// The plan is validated; later repetitions need no echo clocks.
-		rp.DiscardEchoClocks()
-		// Publish the validated plan as its structure class's template
-		// (Put clones, so the Runner's recycled plan buffer is safe to
-		// keep using below).
-		if cls.enabled() {
-			cls.store.Put(cls.key, plan)
-			r.Metrics().Counter(mPlanTemplates).Inc()
-		}
-		sample := marks[1] - marks[0]
-		if mode == Completion {
-			sample -= barrierCost
-		}
-		if rep >= set.Warmup {
-			push(sample)
-		}
-		rep++
-		// Repetitions up to the first possible convergence decision can be
-		// batched; after that, each repetition may be the last.
-		firstDecision := set.Warmup + set.MinReps - 1
-		for !stop {
-			need := 1
-			if rep <= firstDecision {
-				need = firstDecision - rep + 1
-			}
-			k := need
-			if k > lanes {
-				k = lanes
-			}
-			if rem := set.Warmup + set.MaxReps - rep; rem < k {
-				k = rem
-			}
-			if k < 1 {
-				return Measurement{}, FallbackPlan, nil
-			}
-			marks, mok := rp.Replay(k)
-			if !mok {
-				return Measurement{}, FallbackPlan, nil
-			}
-			for l := 0; l < k && !stop; l++ {
-				sample := marks[l*2+1] - marks[l*2]
-				if mode == Completion {
-					sample -= barrierCost
-				}
-				if rep >= set.Warmup {
-					push(sample)
-				}
-				rep++
-			}
-		}
+	if r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, repetition(mode, op)) != nil {
+		return Measurement{}, FallbackEchoDivergence, nil
 	}
-	if m := r.Metrics(); m != nil && rep > 1 {
-		// Repetitions 1..rep-1 were re-timed by the replayer, bypassing the
-		// scheduler; each walks the plan's send events once.
-		m.Counter(mReplayTransfers).Add(int64(rep-1) * int64(plan.Sends()))
+	// The plan is validated; later repetitions need no echo clocks.
+	rp.DiscardEchoClocks()
+	// Publish the validated plan as its structure class's template (Put
+	// clones, so the Runner's recycled plan buffer is safe to keep using
+	// below).
+	if cls.enabled() {
+		cls.store.Put(cls.key, plan)
+		r.Metrics().Counter(mPlanTemplates).Inc()
 	}
-	return finishMeasurement(meas), FallbackNone, nil
+	if rep, err = rule.replay(rp, rep, math.MaxInt, lanes, mode, barrierCost); err != nil {
+		return Measurement{}, FallbackPlan, nil
+	}
+	// Repetitions 1..rep-1 were re-timed by the replayer, bypassing the
+	// scheduler; each walks the plan's send events once.
+	r.Metrics().Counter(mReplayTransfers).Add(int64(rep-1) * int64(plan.Sends()))
+	return rule.result(), FallbackNone, nil
 }
 
 // measureRebound is the plan-template fast path: the point's repetition
@@ -644,22 +631,7 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 	// network's quiet state, and the replay below must consume the noise
 	// stream from the exact position a capturing run would have.
 	r.Network().Reset()
-	plan, err := r.Rebind(tpl, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
-		p.Barrier() // open: align all ranks
-		if root {
-			p.Mark() // sample start
-		}
-		op(p)
-		if mode == Completion {
-			p.Barrier() // close: wait for global completion
-		}
-		if root {
-			p.Mark() // sample end
-		}
-		p.Barrier() // decide (chains repetitions exactly as captured)
-		return nil
-	})
+	plan, err := r.Rebind(tpl, repetition(mode, op))
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -670,30 +642,8 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 	for i := range start {
 		start[i] = bc + bc
 	}
-
-	var meas Measurement
-	meas.Samples = make([]float64, 0, set.MaxReps)
-	stop := false
-	push := func(sample float64) {
-		meas.Samples = append(meas.Samples, sample)
-		n := len(meas.Samples)
-		if n >= set.MinReps {
-			ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-			converged := err == nil && ci.RelativeError() <= set.Precision
-			if converged || n >= set.MaxReps {
-				meas.CI = ci
-				meas.Converged = converged
-				stop = true
-			}
-		}
-	}
-	lanes := replayLanes
-	if rem := set.Warmup + set.MaxReps; rem < lanes {
-		lanes = rem
-	}
-	if lanes < 1 {
-		return Measurement{}, fmt.Errorf("experiment: rebind: no repetitions to replay")
-	}
+	rule := newStopRule(set)
+	lanes := rule.lanes(0)
 	rp, err := r.NewReplayer(plan, start, lanes)
 	if err != nil {
 		return Measurement{}, err
@@ -701,79 +651,46 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 	// The template was echo-validated when it was captured; no echo run is
 	// needed for a structurally identical rebind.
 	rp.DiscardEchoClocks()
-	rep := 0
-	firstDecision := set.Warmup + set.MinReps - 1
-	for !stop {
-		need := 1
-		if rep <= firstDecision {
-			need = firstDecision - rep + 1
-		}
-		k := need
-		if k > lanes {
-			k = lanes
-		}
-		if rem := set.Warmup + set.MaxReps - rep; rem < k {
-			k = rem
-		}
-		if k < 1 {
-			return Measurement{}, fmt.Errorf("experiment: rebind: replay budget exhausted before a decision")
-		}
-		marks, mok := rp.Replay(k)
-		if !mok {
-			return Measurement{}, fmt.Errorf("experiment: rebind: rebound plan does not close over a repetition")
-		}
-		for l := 0; l < k && !stop; l++ {
-			sample := marks[l*2+1] - marks[l*2]
-			if mode == Completion {
-				sample -= bc
-			}
-			if rep >= set.Warmup {
-				push(sample)
-			}
-			rep++
-		}
+	rep, err := rule.replay(rp, 0, math.MaxInt, lanes, mode, bc)
+	if err != nil {
+		return Measurement{}, err
 	}
-	if m := r.Metrics(); m != nil {
-		// Every repetition was re-timed by the replayer.
-		m.Counter(mReplayTransfers).Add(int64(rep) * int64(plan.Sends()))
-	}
-	return finishMeasurement(meas), nil
+	// Every repetition was re-timed by the replayer.
+	r.Metrics().Counter(mReplayTransfers).Add(int64(rep) * int64(plan.Sends()))
+	return rule.result(), nil
 }
 
 // MeasureBcast measures one broadcast configuration on a cluster profile:
 // algorithm alg broadcasting m bytes from rank 0 to nprocs ranks with the
 // given segment size, in Completion mode (the time until every rank holds
-// the message, which is what the paper's comparison figures plot).
+// the message, which is what the paper's comparison figures plot). The
+// §4.1 γ(P) experiment is the case alg = coll.BcastLinear, segSize = 0.
 func MeasureBcast(pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings) (Measurement, error) {
 	r, err := newProfileRunner(pr, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
-	return MeasureBcastOn(r, pr, nprocs, alg, m, segSize, set)
+	return MeasureComposedClass(r, pr, nprocs, set, Completion, "", nil, bcastOp(alg, m, segSize))
 }
 
-// MeasureBcastOn is MeasureBcast on a reusable Runner built from pr (see
-// newProfileRunner); the sweep engine keeps one warm Runner per worker.
-func MeasureBcastOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings) (Measurement, error) {
-	return measureBcastOn(r, pr, nprocs, alg, m, segSize, set, nil)
-}
-
-// measureBcastOn is MeasureBcastOn with an optional plan-template store:
-// when tmpl is non-nil the point carries its structure-class key
-// (coll.BcastClassKey), so the first point of each (algorithm,
-// communicator, segment-count) class captures under the scheduler and
-// every later point rebinds that class's template goroutine-free.
-func measureBcastOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
-	if nprocs > pr.Nodes {
-		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", nprocs, pr.Name, pr.Nodes)
-	}
-	cls := planClass{}
-	if tmpl != nil {
-		cls = planClass{key: coll.BcastClassKey(alg, nprocs, m, segSize), store: tmpl}
-	}
-	return measureOnClass(r, nprocs, set, Completion, func(p *mpi.Proc) {
+// bcastOp broadcasts m synthetic bytes from rank 0 with algorithm alg.
+func bcastOp(alg coll.BcastAlgorithm, m, segSize int) Op {
+	return func(p *mpi.Proc) {
 		coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
-	}, cls)
+	}
+}
+
+// linearGatherOp gathers mg synthetic bytes per rank onto rank 0 with the
+// linear-without-synchronisation algorithm: the second stage of the
+// paper's §4.2 estimation experiment.
+func linearGatherOp(mg int) Op {
+	return func(p *mpi.Proc) {
+		if p.Rank() == 0 {
+			coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
+		} else {
+			coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
+		}
+	}
 }
 
 // newProfileRunner builds a reusable Runner on a fresh network of the
@@ -786,54 +703,4 @@ func newProfileRunner(pr cluster.Profile, m *obs.Registry) (*mpi.Runner, error) 
 		return nil, err
 	}
 	return mpi.NewRunnerOn(net, mpi.Options{Metrics: m}), nil
-}
-
-// MeasureBcastThenGather measures the paper's §4.2 communication
-// experiment: the modelled broadcast of m bytes followed by a
-// linear-without-synchronisation gather of mg bytes per rank onto the
-// root, timed on the root (the experiment starts and finishes there).
-func MeasureBcastThenGather(pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings) (Measurement, error) {
-	r, err := newProfileRunner(pr, nil)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return MeasureBcastThenGatherOn(r, pr, nprocs, alg, m, segSize, mg, set)
-}
-
-// MeasureBcastThenGatherOn is MeasureBcastThenGather on a reusable Runner
-// built from pr.
-func MeasureBcastThenGatherOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings) (Measurement, error) {
-	return measureBcastThenGatherOn(r, pr, nprocs, alg, m, segSize, mg, set, nil)
-}
-
-// measureBcastThenGatherOn is MeasureBcastThenGatherOn with an optional
-// plan-template store — a shim over the general MeasureComposedClass, kept
-// because the §4.2 experiment is the sweep engine's PointBcastThenGather
-// kind. The linear-without-synchronisation gather's structure is a
-// function of the communicator size alone (its per-rank bytes are
-// harvested by the rebind), so the class key is the broadcast's with a
-// gather suffix.
-func measureBcastThenGatherOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
-	key := ""
-	if tmpl != nil {
-		key = coll.BcastClassKey(alg, nprocs, m, segSize) + gatherClassSuffix
-	}
-	return MeasureComposedClass(r, pr, nprocs, set, RootTime, key, tmpl,
-		func(p *mpi.Proc) {
-			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
-		},
-		func(p *mpi.Proc) {
-			if p.Rank() == 0 {
-				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
-			} else {
-				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
-			}
-		})
-}
-
-// MeasureLinearBcast measures the non-blocking linear broadcast of one
-// segment to nprocs ranks in Completion mode — the T2(P) of the paper's
-// γ(P) estimation procedure (§4.1).
-func MeasureLinearBcast(pr cluster.Profile, nprocs, segSize int, set Settings) (Measurement, error) {
-	return MeasureBcast(pr, nprocs, coll.BcastLinear, segSize, 0, set)
 }

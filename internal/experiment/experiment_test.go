@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -189,21 +190,16 @@ func TestMeasureBcastThenGatherEndsOnRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := MeasureBcastThenGather(pr, 10, coll.BcastBinomial, 81920, 8192, 1024, fastSettings())
+	pt := Point{Kind: PointBcastThenGather, Alg: coll.BcastBinomial, Procs: 10, MsgBytes: 81920, SegSize: 8192, GatherBytes: 1024}
+	res, err := Sweep{Profile: pr, Settings: fastSettings()}.Run(context.Background(), []Point{pt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Mean <= 0 {
+	if meas := res[0].Meas; meas.Mean <= 0 {
 		t.Fatalf("mean = %v", meas.Mean)
 	}
-	// The gather adds P-1 inbound transfers; the experiment must take
-	// longer than the broadcast alone measured at the root.
-	bOnly, err := MeasureBcast(pr, 10, coll.BcastBinomial, 81920, 8192, fastSettings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = bOnly // completion vs root-time are not directly comparable; just sanity-check both ran
-	if _, err := MeasureBcastThenGather(pr, 999, coll.BcastBinomial, 81920, 8192, 1024, fastSettings()); err == nil {
+	pt.Procs = 999
+	if _, err := (Sweep{Profile: pr, Settings: fastSettings()}).Run(context.Background(), []Point{pt}); err == nil {
 		t.Fatal("too many procs should fail")
 	}
 }
@@ -213,7 +209,7 @@ func TestMeasureLinearBcastGammaGrowth(t *testing.T) {
 	pr := cluster.Grisou()
 	var prev float64
 	for p := 2; p <= 7; p++ {
-		meas, err := MeasureLinearBcast(pr, p, pr.SegmentSize, fastSettings())
+		meas, err := MeasureBcast(pr, p, coll.BcastLinear, pr.SegmentSize, 0, fastSettings())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,8 @@ const (
 	PointBcast Kind = iota
 	// PointBcastThenGather measures the §4.2 estimation experiment — the
 	// modelled broadcast followed by a linear-without-synchronisation
-	// gather of GatherBytes per rank, timed on the root
-	// (MeasureBcastThenGather).
+	// gather of GatherBytes per rank, timed on the root (the experiment
+	// starts and finishes there).
 	PointBcastThenGather
 )
 
@@ -72,8 +72,8 @@ func (pt Point) String() string {
 // bytes are harvested by the rebind), so the suffix alone suffices.
 const gatherClassSuffix = "+gatherlinear"
 
-// classKey is the point's structure-class key — exactly the key the
-// measure* functions register the point's plan template under, so the
+// classKey is the point's structure-class key — exactly the key
+// Sweep.measure registers the point's plan template under, so the
 // sweep scheduler can group the grid by capture unit without running
 // anything. Unknown kinds have no class ("") and are never grouped.
 func (pt Point) classKey() string {
@@ -446,15 +446,7 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 	if err != nil {
 		return Result{}, err
 	}
-	var m Measurement
-	switch pt.Kind {
-	case PointBcast:
-		m, err = measureBcastOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, s.Settings, tmpls)
-	case PointBcastThenGather:
-		m, err = measureBcastThenGatherOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, pt.GatherBytes, s.Settings, tmpls)
-	default:
-		err = fmt.Errorf("experiment: unknown point kind %v", pt.Kind)
-	}
+	m, err := measurePoint(runner, s.Profile, s.Settings, pt, tmpls)
 	if err != nil {
 		return Result{}, err
 	}
@@ -463,6 +455,20 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 		s.Cache.put(key, m)
 	}
 	return Result{Point: pt, Meas: m}, nil
+}
+
+// measurePoint measures one grid point on r. tmpls, which may be nil, is
+// the plan-template store the point's structure class lives in.
+func measurePoint(r *mpi.Runner, pr cluster.Profile, set Settings, pt Point, tmpls *mpi.TemplateStore) (Measurement, error) {
+	switch pt.Kind {
+	case PointBcast:
+		return MeasureComposedClass(r, pr, pt.Procs, set, Completion, pt.classKey(), tmpls,
+			bcastOp(pt.Alg, pt.MsgBytes, pt.SegSize))
+	case PointBcastThenGather:
+		return MeasureComposedClass(r, pr, pt.Procs, set, RootTime, pt.classKey(), tmpls,
+			bcastOp(pt.Alg, pt.MsgBytes, pt.SegSize), linearGatherOp(pt.GatherBytes))
+	}
+	return Measurement{}, fmt.Errorf("experiment: unknown point kind %v", pt.Kind)
 }
 
 // BcastGrid builds the (message size × algorithm) cross product at a fixed

@@ -45,7 +45,7 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 			}
 			store := mpi.NewTemplateStore()
 			// First measurement captures and publishes the template...
-			first, err := measureBcastOn(r, pr, 16, alg, 65536, 8192, set, store)
+			first, err := measurePoint(r, pr, set, Point{Alg: alg, Procs: 16, MsgBytes: 65536, SegSize: 8192}, store)
 			if err != nil {
 				t.Fatalf("%v: capture: %v", alg, err)
 			}
@@ -56,7 +56,7 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 				t.Fatalf("%v: %d templates published, want 1", alg, got)
 			}
 			// ...and the point under test rebinds it.
-			got, err := measureBcastOn(r, pr, 16, alg, m, 8192, set, store)
+			got, err := measurePoint(r, pr, set, Point{Alg: alg, Procs: 16, MsgBytes: m, SegSize: 8192}, store)
 			if err != nil {
 				t.Fatalf("%v m=%d: rebind: %v", alg, m, err)
 			}

@@ -45,14 +45,6 @@ type Env struct {
 	plat *platform
 }
 
-// NewEnv builds a standalone single-worker environment for pr — the way
-// tests and one-off recipe evaluations measure without a Harness. The
-// template store may be nil (every measurement then captures its own
-// plan).
-func NewEnv(pr cluster.Profile, set experiment.Settings, r *mpi.Runner, tmpl *mpi.TemplateStore) *Env {
-	return &Env{Runner: r, plat: &platform{pr: pr, set: set, tmpl: tmpl}}
-}
-
 // Measure runs the composed stages at nprocs on the environment's
 // platform in Completion mode, memoised under key: the first caller of a
 // key computes (single-flight), everyone else gets the cached

@@ -26,6 +26,15 @@
 // path of a warm Runner — submit, schedule, match, resume — performs no
 // heap allocations (request and operation objects are recycled through
 // freelists, and all scheduler queues retain their capacity).
+//
+// Repetitions of a program need not run under the scheduler at all: a
+// Runner can capture one execution as a Plan and a Replayer re-times it
+// bit-identically without goroutines. User closures are re-executed
+// against a plan by one goroutine-free plan walk (rebind.go) that runs
+// the ranks one after another on the caller's goroutine: with the
+// replayed clocks of a Replayer it is the echo run that validates a
+// captured plan (Runner.EchoRun); with the clock frozen it is the rebind
+// pass that binds a template plan to a new point's sizes (Runner.Rebind).
 package mpi
 
 import (
@@ -98,13 +107,10 @@ type Proc struct {
 	// variadic slice allocation of WaitAll.
 	waitBuf [1]*Request
 
-	// echo, when non-nil, routes submitted operations to the echo
-	// validator (echo.go) instead of the scheduler.
-	echo *echoRank
-	// rebind, when non-nil, routes submitted operations to the rebind
-	// harvester (rebind.go): the structural pass of Runner.Rebind that
-	// binds a plan template to a new operation's sizes.
-	rebind *rebindRank
+	// walk, when non-nil, routes submitted operations to a plan walk
+	// (rebind.go) — an echo run or a rebind pass — instead of the
+	// scheduler.
+	walk *walkCursor
 }
 
 // Rank returns this process's rank in 0..Size()-1.
@@ -245,19 +251,13 @@ func (p *Proc) checkPeer(peer int, op string) {
 }
 
 // submit hands an operation to the scheduler and blocks for the reply.
-// In an echo run there is no scheduler: the operation is validated
-// against the plan and the clock comes from the replayed release times.
-// In a rebind pass there is no scheduler either: the operation is
-// structurally validated against the template and its sizes are harvested
-// into the new binding, with the clock frozen.
+// In a plan walk there is no scheduler: the operation is checked against
+// the plan, and the clock comes from the replayed release times (echo) or
+// stays frozen (rebind).
 func (p *Proc) submit(op operation) {
 	op.rank = p.rank
-	if p.echo != nil {
-		p.clock = p.echoStep(&op)
-		return
-	}
-	if p.rebind != nil {
-		p.rebindStep(&op)
+	if p.walk != nil {
+		p.walkStep(&op)
 		return
 	}
 	op.clock = p.clock

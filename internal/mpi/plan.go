@@ -293,9 +293,6 @@ func (p *Plan) Procs() int { return p.nprocs }
 // Marks returns the number of mark events one replay pass produces.
 func (p *Plan) Marks() int { return p.marks }
 
-// Draws returns the number of jitter factors one replay pass consumes.
-func (p *Plan) Draws() int { return p.draws }
-
 // Events returns the number of events one replay pass walks.
 func (p *Plan) Events() int { return len(p.events) }
 

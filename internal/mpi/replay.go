@@ -33,7 +33,7 @@ type Replayer struct {
 	// clocks holds per-lane rank clocks, lane-major stripes of nprocs.
 	clocks []float64
 	// jit holds the batch's jitter factors, lane-major stripes of
-	// plan.Draws().
+	// plan.draws.
 	jit []float64
 	// marks holds the batch's mark clocks, lane-major stripes of
 	// plan.Marks().

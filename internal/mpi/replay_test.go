@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"mpicollperf/internal/simnet"
@@ -269,12 +271,26 @@ func TestEchoValidatesAndDetectsDivergence(t *testing.T) {
 	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(nil)); err != nil {
 		t.Fatalf("second faithful echo rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(p *Proc){
-		"extra_sleep":   func(p *Proc) { p.Sleep(1e-9) },
-		"extra_message": func(p *Proc) { sendRecvPair(p) },
+	// Divergence is the same typed error a rebind reports, naming the
+	// first rank (in rank order) whose stream left the plan.
+	for name, tc := range map[string]struct {
+		mutate func(p *Proc)
+		rank   int
+	}{
+		"extra_sleep":   {func(p *Proc) { p.Sleep(1e-9) }, 0},
+		"extra_message": {sendRecvPair, 0},
+		"rank3_only": {func(p *Proc) {
+			if p.Rank() == 3 {
+				p.Sleep(1e-9)
+			}
+		}, 3},
 	} {
-		if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(mutate)); err == nil {
-			t.Errorf("%s: diverging echo accepted", name)
+		err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(tc.mutate))
+		var re *RebindError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: echo returned %v, want a *RebindError", name, err)
+		} else if re.Rank != tc.rank {
+			t.Errorf("%s: divergence reported on rank %d, want %d", name, re.Rank, tc.rank)
 		}
 	}
 	// A changed byte count inside the pattern must also be flagged.
@@ -297,6 +313,8 @@ func TestEchoValidatesAndDetectsDivergence(t *testing.T) {
 	}
 	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, altered); err == nil {
 		t.Error("reordered echo accepted")
+	} else if re := (*RebindError)(nil); !errors.As(err, &re) || re.Rank != 0 {
+		t.Errorf("reordered echo: err = %v, want a *RebindError on rank 0", err)
 	}
 	// After echoing, the Runner must still run normal programs.
 	if _, err := r.Run(nprocs, func(p *Proc) error {
@@ -312,6 +330,45 @@ func sendRecvPair(p *Proc) {
 		p.Send(1, 123, nil, 64)
 	} else if p.Rank() == 1 {
 		p.Recv(0, 123, nil)
+	}
+}
+
+// TestEchoRunGoroutineFree: an echo run walks the ranks one after
+// another on the caller's goroutine, so no rank's closure ever sees a
+// goroutine the caller did not already have.
+func TestEchoRunGoroutineFree(t *testing.T) {
+	const nprocs = 6
+	r, plan, res := captureOneRep(t, replayTestConfig(nprocs), nprocs)
+	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rp.Replay(1); !ok {
+		t.Fatal("replay failed")
+	}
+	want := runtime.NumGoroutine()
+	seen := 0
+	err = r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, func(p *Proc) error {
+		if got := runtime.NumGoroutine(); got != want {
+			t.Errorf("rank %d: %d goroutines inside the echo, caller had %d", p.Rank(), got, want)
+		}
+		seen++
+		p.Barrier()
+		if p.Rank() == 0 {
+			p.Mark()
+		}
+		replayPattern(p)
+		p.Barrier()
+		if p.Rank() == 0 {
+			p.Mark()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("faithful echo rejected: %v", err)
+	}
+	if seen != nprocs {
+		t.Errorf("echo ran %d rank closures, want %d", seen, nprocs)
 	}
 }
 

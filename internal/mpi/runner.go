@@ -34,11 +34,12 @@ type Runner struct {
 	planScratch *planScratch
 	// Recycled across NewReplayer calls.
 	replayer *Replayer
-	// Recycled across Rebind calls (rebind.go): the rebound plan header,
-	// its grow-only binding buffer, and the pass's cursor.
+	// Recycled across Rebind calls (rebind.go): the rebound plan header
+	// and its grow-only binding buffer.
 	rebound     *Plan
 	rebindBinds []planBind
-	rebindCur   rebindRank
+	// cursor is the plan-walk position of the rank being walked.
+	cursor walkCursor
 }
 
 // NewRunner builds a Runner with a fresh network from cfg.
@@ -152,8 +153,7 @@ func (r *Runner) run(nprocs int, fn func(*Proc) error, record bool) (Result, *Ca
 		p.resume = s.resumes[i]
 		p.clock = 0
 		p.seq = 0
-		p.echo = nil
-		p.rebind = nil
+		p.walk = nil
 		go runRank(p, fn)
 	}
 	res, err := s.loop()

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,8 +28,10 @@ type ExtendedSelector struct {
 }
 
 // CalibrateExtended fits per-algorithm parameters for a collective family
-// on a platform, reusing an already-estimated γ.
-func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
+// on a platform, reusing an already-estimated γ. ctx is checked between
+// specs, so a cancelled context stops the calibration at the next
+// algorithm boundary and returns ctx.Err().
+func CalibrateExtended(ctx context.Context, pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("selection: no specs to calibrate")
 	}
@@ -40,9 +43,12 @@ func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g mo
 		Params:  make([]model.Hockney, len(specs)),
 	}
 	for i, spec := range specs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		res, err := estimate.AlphaBetaCollective(pr, spec, g, cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("selection: calibrating %s: %w", spec.Name, err)
 		}
 		sel.Params[i] = res.Params
 	}

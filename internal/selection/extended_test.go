@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func extendedHarness(t *testing.T, specs []estimate.CollectiveSpec, sizes []int,
 		t.Fatal(err)
 	}
 	cfg := estimate.AlphaBetaConfig{Procs: 16, Sizes: sizes, Settings: fastSettings()}
-	sel, err := CalibrateExtended(pr, specs, gr.Gamma, cfg)
+	sel, err := CalibrateExtended(context.Background(), pr, specs, gr.Gamma, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestExtendedSelectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CalibrateExtended(pr, nil, gr.Gamma, estimate.AlphaBetaConfig{}); err == nil {
+	if _, err := CalibrateExtended(context.Background(), pr, nil, gr.Gamma, estimate.AlphaBetaConfig{}); err == nil {
 		t.Fatal("empty specs should fail")
 	}
 	if _, err := estimate.AlphaBetaCollective(pr, estimate.CollectiveSpec{Name: "x"}, gr.Gamma,
@@ -119,7 +120,7 @@ func TestExtendedSelectionCrossover(t *testing.T) {
 	}
 	specs := estimate.AllreduceSpecs()
 	cfg := estimate.AlphaBetaConfig{Procs: 16, Sizes: []int{8192, 65536, 524288, 2 << 20}, Settings: fastSettings()}
-	sel, err := CalibrateExtended(pr, specs, gr.Gamma, cfg)
+	sel, err := CalibrateExtended(context.Background(), pr, specs, gr.Gamma, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

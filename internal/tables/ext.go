@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -53,7 +54,7 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 		"allgather", "allreduce", "alltoall", "reduce", "gather", "scatter", "reduce_scatter",
 	} {
 		specs := families[family]
-		sel, err := selection.CalibrateExtended(pr, specs, gr.Gamma, cfg)
+		sel, err := selection.CalibrateExtended(context.Background(), pr, specs, gr.Gamma, cfg)
 		if err != nil {
 			return ExtTable{}, fmt.Errorf("tables: ext %s: %w", family, err)
 		}

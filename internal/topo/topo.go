@@ -27,9 +27,6 @@ type Tree struct {
 	Children [][]int
 }
 
-// vrank returns the virtual rank of r for root.
-func vrank(r, root, size int) int { return (r - root + size) % size }
-
 // rrank returns the real rank of virtual rank v for root.
 func rrank(v, root, size int) int { return (v + root) % size }
 
@@ -203,17 +200,6 @@ func (t *Tree) Height() int {
 		}
 	}
 	return h
-}
-
-// MaxChildren returns the largest number of children of any rank.
-func (t *Tree) MaxChildren() int {
-	m := 0
-	for _, cs := range t.Children {
-		if len(cs) > m {
-			m = len(cs)
-		}
-	}
-	return m
 }
 
 // IsLeaf reports whether rank r has no children.

@@ -244,5 +244,5 @@ func CollectiveSpecs(op string) ([]CollectiveSpec, error) {
 // beyond broadcast. Selector.BestFor answers the same queries through the
 // bundled shape the daemon serves.
 func CalibrateExtended(pr Profile, specs []CollectiveSpec, g Gamma, cfg CalibrationConfig) (*ExtendedSelector, error) {
-	return selection.CalibrateExtended(pr, specs, g, cfg)
+	return selection.CalibrateExtended(context.Background(), pr, specs, g, cfg)
 }

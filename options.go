@@ -74,17 +74,6 @@ func WithMeasureSettings(set MeasureSettings) Option {
 	}
 }
 
-// WithPlanTemplates toggles the calibration sweep's plan-template cache
-// (default on): under the replay engine, one execution plan is captured
-// per structure class — per (algorithm, communicator size, segment
-// count) — and every other grid point of the class rebinds that plan
-// goroutine-free instead of re-running the scheduler. Fitted parameters
-// are bit-identical either way; pass false to benchmark or debug the
-// uncached path.
-func WithPlanTemplates(enabled bool) Option {
-	return func(o *options) { o.cfg.DisablePlanTemplates = !enabled }
-}
-
 // WithMetrics attaches a metrics registry: the calibration records sweep,
 // cache, engine, and fit metrics into it (see internal/obs). Metrics are
 // purely observational — calibrations are bit-identical with or without
