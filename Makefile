@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build test race doccheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci fmtcheck vet build test race doccheck benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
 
 ci: fmtcheck vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
 
@@ -27,66 +27,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Hot-path and sweep-engine benchmarks, recorded twice: BENCH_sched.json
-# forces the scheduler engine (SWEEP_ENGINE=scheduler) and covers the
-# scheduler micro-benchmarks; BENCH_replay.json runs the same sweep
-# benchmarks under the default auto engine (plan capture + replay) plus
-# the replay micro-benchmarks. The sweep benchmark names are identical in
-# both files, so `benchjson -baseline` can diff them directly. The same
-# replay-engine sweep run also yields BENCH_sweepscale.json, the
-# workers=1-relative scaling curve (`benchjson -scaling`; threshold -1 =
-# record only, the gate lives in benchdiff). The raw text goes through a
-# temp file, not a pipe, so a benchmark failure fails the target.
-bench:
-	$(GO) test -bench=Scheduler -benchmem -run='^$$' ./internal/mpi/ > .bench_sched.txt
-	SWEEP_ENGINE=scheduler $(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ >> .bench_sched.txt
-	$(GO) run ./cmd/benchjson < .bench_sched.txt > BENCH_sched.json
-	@rm -f .bench_sched.txt
-	$(GO) test -bench=Replay -benchmem -run='^$$' ./internal/mpi/ > .bench_replay.txt
-	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_sweep.txt
-	cat .bench_sweep.txt >> .bench_replay.txt
-	$(GO) run ./cmd/benchjson < .bench_replay.txt > BENCH_replay.json
-	@rm -f .bench_replay.txt
-	$(GO) run ./cmd/benchjson -scaling -scaling-out BENCH_sweepscale.json -threshold -1 < .bench_sweep.txt
-	@rm -f .bench_sweep.txt
-	$(GO) test -bench=PlanCache -benchmem -run='^$$' ./internal/experiment/ > .bench_plancache.txt
-	$(GO) run ./cmd/benchjson < .bench_plancache.txt > BENCH_plancache.json
-	@rm -f .bench_plancache.txt
-	@echo "wrote BENCH_sched.json, BENCH_replay.json, BENCH_sweepscale.json and BENCH_plancache.json"
-
-# Regression gate: re-run the sweep benchmarks and compare against a
-# recorded baseline (default: the scheduler-engine record). Fails when
-# any benchmark's ns/op regresses by more than 20%, and — via the
-# -scaling pass over the same run — when the worker-scaling curve fails
-# either bound:
-#
-#   * SCALING_THRESHOLD (anti-regression): no workers>1 line may be more
-#     than 50% slower than its workers=1 sibling.
-#   * SCALING_MIN_SPEEDUP (speedup requirement): every workers=N line
-#     must reach min(SCALING_MIN_SPEEDUP, 0.8·min(N, cpus))× the
-#     workers=1 speed, with cpus read from the benchmark name's
-#     GOMAXPROCS suffix. On a multi-core box workers=8 must therefore be
-#     ≥2.0× faster than workers=1; on a single-core box — where every
-#     worker count runs the same clamped serial sweep — the requirement
-#     degrades to the 0.8× anti-regression floor, because no amount of
-#     scheduling can conjure parallel speedup out of one core.
-#
-# The plan-cache breakdown (scheduler vs capture vs rebind per point) is
-# gated against its own record, so a rebind-path slowdown cannot hide
-# inside the sweep aggregate.
-BASELINE ?= BENCH_sched.json
-PLANCACHE_BASELINE ?= BENCH_plancache.json
-SCALING_THRESHOLD ?= 0.5
-SCALING_MIN_SPEEDUP ?= 2.0
-benchdiff:
-	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
-	$(GO) run ./cmd/benchjson -baseline $(BASELINE) < .bench_diff.txt
-	$(GO) run ./cmd/benchjson -scaling -threshold $(SCALING_THRESHOLD) -min-speedup $(SCALING_MIN_SPEEDUP) < .bench_diff.txt
-	@rm -f .bench_diff.txt
-	$(GO) test -bench=PlanCache -benchmem -run='^$$' ./internal/experiment/ > .bench_pc_diff.txt
-	$(GO) run ./cmd/benchjson -baseline $(PLANCACHE_BASELINE) < .bench_pc_diff.txt
-	@rm -f .bench_pc_diff.txt
 
 # The per-artifact paper benchmarks (tables and figures at reduced scale).
 benchpaper:

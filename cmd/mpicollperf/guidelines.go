@@ -2,13 +2,9 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
+	"io"
 
-	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/experiment"
 	"mpicollperf/internal/guideline"
 	"mpicollperf/internal/obs"
@@ -20,9 +16,8 @@ import (
 // perturbation × (P, m) grid, renders the per-guideline summary, writes
 // the structured JSON artifact, and fails (non-zero exit) when any
 // guideline is violated — the shape `make guidelines` gates CI on.
-func runVerifyGuidelines(args []string) error {
-	fs := flag.NewFlagSet("verify-guidelines", flag.ContinueOnError)
-	clusterFlag := fs.String("cluster", "both", "grisou, gros or both")
+func runVerifyGuidelines(args []string, stdout, stderr io.Writer) error {
+	fs, c := commandFlags("verify-guidelines", stderr, "both", withWorkers|withEngine|withMetrics)
 	quick := fs.Bool("quick", false, "reduced grid for a fast smoke gate")
 	procsFlag := fs.String("procs", "", "comma-separated communicator sizes (default 4,8,16)")
 	sizesFlag := fs.String("sizes", "", "comma-separated message sizes in bytes (default 1024,16384,131072,1048576)")
@@ -30,33 +25,23 @@ func runVerifyGuidelines(args []string) error {
 	perturbFlag := fs.String("perturb", "", "additional explicit perturbation spec to compose onto every cluster")
 	seed := fs.Int64("seed", 1, "seed for the random perturbations")
 	intensity := fs.Float64("intensity", 0.5, "intensity of the random perturbations in (0, 1]")
-	engineFlag := fs.String("engine", "auto", "execution engine: auto, scheduler, replay")
-	workers := fs.Int("workers", 0, "concurrent checks (0 = GOMAXPROCS, 1 = serial)")
 	outPath := fs.String("out", "results/guidelines.json", "path of the JSON artifact (empty = skip)")
-	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var profiles []cluster.Profile
-	names := []string{"grisou", "gros"}
-	if *clusterFlag != "both" {
-		names = []string{*clusterFlag}
+	profiles, err := clusterProfiles(c.cluster)
+	if err != nil {
+		return err
 	}
-	for _, name := range names {
-		pr, err := cluster.ByName(name)
-		if err != nil {
-			return err
-		}
+	for i, pr := range profiles {
 		if pr.Nodes > 16 {
-			if pr, err = pr.WithNodes(16); err != nil {
+			if profiles[i], err = pr.WithNodes(16); err != nil {
 				return err
 			}
 		}
-		profiles = append(profiles, pr)
 	}
-
-	engine, err := experiment.ParseEngine(*engineFlag)
+	engine, err := experiment.ParseEngine(c.engine)
 	if err != nil {
 		return err
 	}
@@ -68,18 +53,14 @@ func runVerifyGuidelines(args []string) error {
 		Seed:                *seed,
 		Intensity:           *intensity,
 		Settings:            set,
-		Workers:             *workers,
+		Workers:             c.workers,
 		Metrics:             obs.NewRegistry(),
 	}
-	if *procsFlag != "" {
-		if h.Procs, err = parseIntList(*procsFlag); err != nil {
-			return fmt.Errorf("-procs: %w", err)
-		}
+	if h.Procs, err = parseIntList(*procsFlag); err != nil {
+		return fmt.Errorf("-procs: %w", err)
 	}
-	if *sizesFlag != "" {
-		if h.Sizes, err = parseIntList(*sizesFlag); err != nil {
-			return fmt.Errorf("-sizes: %w", err)
-		}
+	if h.Sizes, err = parseIntList(*sizesFlag); err != nil {
+		return fmt.Errorf("-sizes: %w", err)
 	}
 	if *perturbFlag != "" {
 		spec, err := perturb.Parse(*perturbFlag)
@@ -103,37 +84,24 @@ func runVerifyGuidelines(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := rep.Render(stdout); err != nil {
 		return err
 	}
 	if *outPath != "" {
 		if err := rep.WriteJSON(*outPath); err != nil {
 			return err
 		}
-		fmt.Printf("(wrote %s)\n", *outPath)
+		fmt.Fprintf(stdout, "(wrote %s)\n", *outPath)
 	}
-	if *metricsPath != "" {
-		if err := h.Metrics.WriteJSONFile(*metricsPath); err != nil {
+	if c.metricsPath != "" {
+		if err := c.writeMetrics(h.Metrics); err != nil {
 			return err
 		}
-		fmt.Printf("(wrote %s)\n", *metricsPath)
+		fmt.Fprintf(stdout, "(wrote %s)\n", c.metricsPath)
 	}
 	if viol := rep.Violations(); len(viol) > 0 {
 		return fmt.Errorf("%d of %d guideline checks violated", len(viol), len(rep.Checks))
 	}
-	fmt.Printf("%d checks across %d families: all guidelines hold\n", len(rep.Checks), rep.FamilyCount())
+	fmt.Fprintf(stdout, "%d checks across %d families: all guidelines hold\n", len(rep.Checks), rep.FamilyCount())
 	return nil
-}
-
-func parseIntList(spec string) ([]int, error) {
-	fields := strings.Split(spec, ",")
-	out := make([]int, 0, len(fields))
-	for _, f := range fields {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad value %q (want positive integers)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,21 +48,38 @@ func TestBuildConfigQuickAndSingleCluster(t *testing.T) {
 }
 
 func TestRunUsageErrors(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard, io.Discard); err == nil {
 		t.Fatal("no args should fail")
 	}
-	if err := run([]string{"frobnicate"}); err == nil {
+	if err := run([]string{"frobnicate"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown subcommand should fail")
 	}
-	if err := run([]string{"reproduce", "-quick", "-cluster", "grisou", "nosuch"}); err == nil {
+	if err := run([]string{"reproduce", "-quick", "-cluster", "grisou", "nosuch"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown target should fail")
+	}
+}
+
+// TestUnknownSubcommandListsCommands: the usage error names every
+// subcommand, so the one binary is discoverable from any mistake.
+func TestUnknownSubcommandListsCommands(t *testing.T) {
+	err := run([]string{"frobnicate"}, io.Discard, io.Discard)
+	if err == nil {
+		t.Fatal("unknown subcommand accepted")
+	}
+	for _, name := range []string{"calibrate", "select", "decision", "analyze", "sweep", "reproduce", "verify-guidelines", "serve"} {
+		if !strings.Contains(err.Error(), "\n  "+name+" ") {
+			t.Errorf("usage does not list %q:\n%v", name, err)
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-h"}, &out, io.Discard); err != nil || !strings.Contains(out.String(), "verify-guidelines") {
+		t.Errorf("-h: %v\n%s", err, out.String())
 	}
 }
 
 func TestRunQuickTable1WritesCSV(t *testing.T) {
 	dir := t.TempDir()
-	// Silence stdout noise by not capturing; the assertion is the CSV file.
-	err := run([]string{"reproduce", "-quick", "-cluster", "grisou", "-out", dir, "table1"})
+	err := run([]string{"reproduce", "-quick", "-cluster", "grisou", "-out", dir, "table1"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

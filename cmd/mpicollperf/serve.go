@@ -23,12 +23,13 @@ import (
 const serveUsage = "usage: mpicollperf serve {submit|status|wait|list|cancel|select} -server URL [flags]"
 
 // runServe dispatches the serve client subcommands.
-func runServe(args []string, out io.Writer) error {
+func runServe(args []string, out, stderr io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("%s", serveUsage)
 	}
 	sub, rest := args[0], args[1:]
 	fs := flag.NewFlagSet("serve "+sub, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	server := fs.String("server", "http://127.0.0.1:7077", "daemon base URL")
 	switch sub {
 	case "submit":
@@ -49,8 +50,8 @@ func runServe(args []string, out io.Writer) error {
 			Version: wire.Version, Profile: *profile, Nodes: *nodes, Procs: *procs, Fast: *fast,
 		}
 		var err error
-		if req.Sizes, err = parseSizes(*sizes); err != nil {
-			return err
+		if req.Sizes, err = parseIntList(*sizes); err != nil {
+			return fmt.Errorf("-sizes: %w", err)
 		}
 		if *ops != "" {
 			req.Ops = strings.Split(*ops, ",")
@@ -204,20 +205,4 @@ func formatJob(j wire.Job) string {
 		s += " error=" + strconv.Quote(j.Error)
 	}
 	return s
-}
-
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %w", p, err)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestServeClientCycle(t *testing.T) {
 	var idBuf strings.Builder
 	err := runServe([]string{"submit", "-server", url, "-profile", "grisou",
 		"-nodes", "16", "-procs", "8", "-sizes", "8192,65536,524288",
-		"-ops", "gather", "-fast", "-id-only"}, &idBuf)
+		"-ops", "gather", "-fast", "-id-only"}, &idBuf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestServeClientCycle(t *testing.T) {
 	}
 
 	var waitBuf strings.Builder
-	if err := runServe([]string{"wait", "-server", url, "-id", id, "-timeout", "2m"}, &waitBuf); err != nil {
+	if err := runServe([]string{"wait", "-server", url, "-id", id, "-timeout", "2m"}, &waitBuf, io.Discard); err != nil {
 		t.Fatalf("wait: %v (%s)", err, waitBuf.String())
 	}
 	if s := waitBuf.String(); !strings.Contains(s, "done") || !strings.Contains(s, "digest=sha256-") {
@@ -50,7 +51,7 @@ func TestServeClientCycle(t *testing.T) {
 	}
 
 	var statusBuf strings.Builder
-	if err := runServe([]string{"status", "-server", url, "-id", id}, &statusBuf); err != nil {
+	if err := runServe([]string{"status", "-server", url, "-id", id}, &statusBuf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(statusBuf.String(), id+" done") {
@@ -62,7 +63,7 @@ func TestServeClientCycle(t *testing.T) {
 		{"select", "-server", url, "-profile", "grisou", "-op", "gather", "-p", "16", "-m", "8192"},
 	} {
 		var selBuf strings.Builder
-		if err := runServe(sel, &selBuf); err != nil {
+		if err := runServe(sel, &selBuf, io.Discard); err != nil {
 			t.Fatalf("%v: %v", sel, err)
 		}
 		if s := selBuf.String(); !strings.Contains(s, "/") || !strings.Contains(s, "predicted=") {
@@ -71,7 +72,7 @@ func TestServeClientCycle(t *testing.T) {
 	}
 
 	var listBuf strings.Builder
-	if err := runServe([]string{"list", "-server", url}, &listBuf); err != nil {
+	if err := runServe([]string{"list", "-server", url}, &listBuf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(listBuf.String(), id) {
@@ -96,19 +97,19 @@ func TestServeClientErrors(t *testing.T) {
 		{"submit", "-server", url, "-profile", "summit"},                     // daemon-side 404
 	}
 	for _, args := range cases {
-		if err := runServe(args, &out); err == nil {
+		if err := runServe(args, &out, io.Discard); err == nil {
 			t.Fatalf("runServe(%v) should fail", args)
 		}
 	}
 	// Daemon errors surface their wire code.
-	err := runServe([]string{"select", "-server", url, "-profile", "grisou", "-p", "4", "-m", "1"}, &out)
+	err := runServe([]string{"select", "-server", url, "-profile", "grisou", "-p", "4", "-m", "1"}, &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "not_calibrated") {
 		t.Fatalf("uncalibrated select error = %v, want not_calibrated code", err)
 	}
 
 	// An empty daemon lists no jobs.
 	var listBuf strings.Builder
-	if err := runServe([]string{"list", "-server", url}, &listBuf); err != nil {
+	if err := runServe([]string{"list", "-server", url}, &listBuf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(listBuf.String(), "no calibration jobs") {

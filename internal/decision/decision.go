@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"mpicollperf/internal/atomicfile"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/model"
 	"mpicollperf/internal/selection"
@@ -146,13 +147,14 @@ func (t Table) LookupAlgorithm(P, m int) (coll.BcastAlgorithm, error) {
 	return coll.ParseBcastAlgorithm(name)
 }
 
-// Save writes the table as JSON.
+// Save writes the table as JSON, crash-safely: a shipped table is replaced
+// whole or not at all.
 func (t Table) Save(path string) error {
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return atomicfile.WriteFile(path, data, 0o644)
 }
 
 // Load reads a table written by Save.

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -17,8 +16,7 @@ import (
 // 72 points over ~80 structure classes, enough work per sweep that the
 // worker-scaling curve measures scheduling rather than per-sweep setup
 // noise, while one serial pass stays in the seconds range. For a stable
-// curve, run with -benchtime=3x or more (one timed sweep per iteration);
-// `make bench` records it into BENCH_sweepscale.json.
+// curve, run with -benchtime=3x or more (one timed sweep per iteration).
 func benchGrid(b *testing.B) (cluster.Profile, []Point) {
 	b.Helper()
 	pr, err := cluster.Grisou().WithNodes(32)
@@ -30,22 +28,9 @@ func benchGrid(b *testing.B) (cluster.Profile, []Point) {
 	return pr, append(grid, BcastGrid(pr.Nodes, coll.BcastAlgorithms(), sizes, pr.SegmentSize)...)
 }
 
-// benchSweepSettings honours the SWEEP_ENGINE environment variable
-// (scheduler, replay, auto) so `make bench` can record the same sweep
-// benchmarks under both execution engines — the names stay identical,
-// letting `benchjson -baseline` diff BENCH_replay.json against
-// BENCH_sched.json directly.
-func benchSweepSettings(b *testing.B) Settings {
-	set := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1}
-	if env := os.Getenv("SWEEP_ENGINE"); env != "" {
-		engine, err := ParseEngine(env)
-		if err != nil {
-			b.Fatalf("SWEEP_ENGINE: %v", err)
-		}
-		set.Engine = engine
-	}
-	return set
-}
+// benchSweepSettings is the reduced repetition budget of the sweep
+// benchmarks, on the default auto engine.
+var benchSweepSettings = Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1}
 
 // BenchmarkSweep measures the wall-clock of the full six-algorithm Grisou
 // grid at increasing worker counts. Every grid point is an independent
@@ -62,13 +47,13 @@ func BenchmarkSweep(b *testing.B) {
 			// The template store persists across the b.N sweeps, as a
 			// repeated calibration's does (each run's structure classes are
 			// captured once, then every later point — and every later
-			// sweep — rebinds); the scheduler-engine record ignores it.
-			// Results are bit-identical with or without the store. One
-			// untimed warm-up sweep captures the class templates so every
-			// timed iteration measures the homogeneous steady state, as
-			// BenchmarkSweepWarmPool and BenchmarkSweepCached do; the cold
-			// capture cost is recorded per path by BenchmarkPlanCache.
-			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers, Templates: mpi.NewTemplateStore()}
+			// sweep — rebinds). Results are bit-identical with or without
+			// the store. One untimed warm-up sweep captures the class
+			// templates so every timed iteration measures the homogeneous
+			// steady state, as BenchmarkSweepWarmPool and
+			// BenchmarkSweepCached do; the cold capture cost is recorded
+			// per path by BenchmarkPlanCache.
+			sw := Sweep{Profile: pr, Settings: benchSweepSettings, Workers: workers, Templates: mpi.NewTemplateStore()}
 			b.ReportMetric(float64(len(grid)), "points/sweep")
 			if _, err := sw.Run(context.Background(), grid); err != nil {
 				b.Fatal(err)
@@ -87,8 +72,7 @@ func BenchmarkSweep(b *testing.B) {
 // path: the full scheduler loop, the replay engine's capture (scheduler
 // repetition + echo validation + replay), and the template fast path
 // (goroutine-free rebind + replay). The rebind line is what every point
-// after the first of a structure class costs; BENCH_plancache.json
-// records the three side by side.
+// after the first of a structure class costs.
 func BenchmarkPlanCache(b *testing.B) {
 	pr, err := cluster.Grisou().WithNodes(32)
 	if err != nil {
@@ -149,7 +133,7 @@ func BenchmarkSweepWarmPool(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers, Pool: pool}
+			sw := Sweep{Profile: pr, Settings: benchSweepSettings, Workers: workers, Pool: pool}
 			if _, err := sw.Run(context.Background(), grid); err != nil {
 				b.Fatal(err)
 			}
@@ -165,11 +149,11 @@ func BenchmarkSweepWarmPool(b *testing.B) {
 
 // BenchmarkSweepCached measures a fully warm sweep: every point served
 // from the in-memory cache. The delta against BenchmarkSweep is what the
-// cache saves a repeated pipeline stage (fitparams then decisiongen).
+// cache saves a repeated pipeline stage (calibrate then decision).
 func BenchmarkSweepCached(b *testing.B) {
 	b.ReportAllocs()
 	pr, grid := benchGrid(b)
-	sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Cache: NewCache()}
+	sw := Sweep{Profile: pr, Settings: benchSweepSettings, Cache: NewCache()}
 	if _, err := sw.Run(context.Background(), grid); err != nil {
 		b.Fatal(err)
 	}

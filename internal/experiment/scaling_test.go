@@ -30,9 +30,8 @@ func scalingGrid(t testing.TB) (cluster.Profile, []Point) {
 // TestSweepScalingNotSlower is the anti-scaling regression guard: adding
 // workers to a replay-engine sweep must never cost wall-clock. On a
 // single-core box extra workers cannot help, so the assertion is a
-// generous "not slower" bound rather than a speedup target; the speedup
-// curve itself is recorded by BenchmarkSweep into BENCH_sweepscale.json
-// and gated by `make benchdiff`.
+// generous "not slower" bound rather than a speedup target; BenchmarkSweep
+// and `mpicollperf sweep -scaling` print the speedup curve itself.
 func TestSweepScalingNotSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short")

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"text/tabwriter"
+
+	"mpicollperf/internal/atomicfile"
 )
 
 // CheckResult is the verdict of one guideline at one configuration — the
@@ -109,8 +111,8 @@ type artifact struct {
 	Violations []CheckResult `json:"violation_rows"`
 }
 
-// WriteJSON writes the structured artifact to path, creating parent
-// directories as needed. Non-finite ratios are clamped to -1 (JSON has no
+// WriteJSON writes the structured artifact to path crash-safely, creating
+// parent directories as needed. Non-finite ratios are clamped to -1 (JSON has no
 // encoding for infinities).
 func (r *Report) WriteJSON(path string) error {
 	viol := r.Violations()
@@ -147,7 +149,7 @@ func (r *Report) WriteJSON(path string) error {
 			return err
 		}
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return atomicfile.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Render writes the human-readable run summary: one row per guideline,

@@ -1,14 +1,16 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"mpicollperf/internal/atomicfile"
 )
 
 // CounterSnapshot is one counter's exported state.
@@ -112,17 +114,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteJSONFile writes the JSON artifact to path (0644, truncating).
+// WriteJSONFile writes the JSON artifact to path (0644), crash-safely: a
+// reader sees the previous file or the complete new one, never a torn mix.
 func (r *Registry) WriteJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var b bytes.Buffer
+	if err := r.WriteJSON(&b); err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, b.Bytes(), 0o644)
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition

@@ -323,7 +323,7 @@ func JarqueBera(xs []float64) (statistic, pvalue float64) {
 // positive and n >= 2; a degenerate request (n <= 1 or a non-positive
 // bound) falls back to the single-point grid [lo], which cannot cover
 // hi — callers offering n as a knob must validate it themselves, as
-// cmd/bcastbench does.
+// `mpicollperf sweep` does.
 func LogSpace(lo, hi float64, n int) []float64 {
 	if n <= 1 || lo <= 0 || hi <= 0 {
 		return []float64{lo}

@@ -151,7 +151,7 @@ const (
 )
 
 // ParseEngine parses an engine name ("auto", "scheduler", "replay"), as
-// the cmd tools' -engine flags do.
+// the mpicollperf command's -engine flag does.
 func ParseEngine(s string) (Engine, error) { return experiment.ParseEngine(s) }
 
 // NewMetricsRegistry returns an empty metrics registry for WithMetrics.
