@@ -183,7 +183,9 @@ func runSweep(args []string, stdout, stderr io.Writer) (err error) {
 	if *verbose {
 		// The plan-template work split, the class-aware scheduler's shape
 		// and the replay-engine fallbacks by reason.
-		captured := sw.Metrics.Counter("experiment_plan_templates_total").Value()
+		// Singleton classes are captured too, just never kept as templates.
+		captured := sw.Metrics.Counter("experiment_plan_templates_total").Value() +
+			sw.Metrics.Counter("experiment_plan_singletons_total").Value()
 		rebound := sw.Metrics.Counter("experiment_plan_rebinds_total").Value()
 		diverged := sw.Metrics.Counter(obs.Name("experiment_fallbacks_total", "reason", "rebind-divergence")).Value()
 		fmt.Fprintf(stdout, "plan templates: %d captured, %d points rebound, %d rebind divergences\n", captured, rebound, diverged)

@@ -237,22 +237,24 @@ func TestGoldenSweepMetricsInvariance(t *testing.T) {
 				}
 				tpls := reg.Counter("experiment_plan_templates_total").Value()
 				rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
+				singletons := reg.Counter("experiment_plan_singletons_total").Value()
 				if engine == experiment.EngineScheduler {
-					if tpls != 0 || rebinds != 0 {
-						t.Errorf("scheduler engine touched the template cache: %d templates, %d rebinds", tpls, rebinds)
+					if tpls != 0 || rebinds != 0 || singletons != 0 {
+						t.Errorf("scheduler engine touched the template cache: %d templates, %d rebinds, %d singletons", tpls, rebinds, singletons)
 					}
 				} else {
-					// Every point is either captured (publishing a template)
-					// or rebound, and the class-aware scheduler's single-flight
+					// Every point is either captured (publishing a template,
+					// or as the only point of its class in the Run) or
+					// rebound, and the class-aware scheduler's single-flight
 					// election makes capture exactly once-per-class at EVERY
 					// worker count — duplicated captures were the parallel
 					// sweep's defect, so any duplicate here is a regression.
 					classes := int64(goldenGridClasses(grid))
-					if tpls+rebinds != int64(len(grid)) {
-						t.Errorf("%d templates + %d rebinds != %d grid points", tpls, rebinds, len(grid))
+					if tpls+singletons+rebinds != int64(len(grid)) {
+						t.Errorf("%d templates + %d singletons + %d rebinds != %d grid points", tpls, singletons, rebinds, len(grid))
 					}
-					if tpls != classes {
-						t.Errorf("workers=%d sweep captured %d times for %d structure classes — capture is not once-per-class", workers, tpls, classes)
+					if tpls+singletons != classes {
+						t.Errorf("workers=%d sweep captured %d templates + %d singletons for %d structure classes — capture is not once-per-class", workers, tpls, singletons, classes)
 					}
 					if groups := reg.Gauge("experiment_sweep_class_groups").Value(); groups != float64(classes) {
 						t.Errorf("experiment_sweep_class_groups = %v, want %d", groups, classes)

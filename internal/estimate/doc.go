@@ -23,17 +23,24 @@
 //     α + β·(b_i/a_i) = T_i/a_i and solved with the Huber regressor.
 //
 // Models chains the two into the full offline calibration a platform
-// needs, and AlphaBetaCollective (extended.go) generalises the §4.2
+// needs, and AlphaBetaCollectives (extended.go) generalises the §4.2
 // procedure to the other collective families, realising the paper's
-// future-work claim.
+// future-work claim. Broadcast and the extended families share one fit
+// tail: the equations are completed with the measured means, solved in
+// canonical form, and recorded as fit metrics labelled by algorithm or
+// spec name.
 //
 // # Concurrency
 //
 // Every experiment in both procedures is an independent simulation, so
 // the estimators dispatch their grids through experiment.Sweep.
-// AlphaBetaConfig exposes the engine's knobs (Workers, Cache, Progress);
-// Models goes furthest and submits the γ grid and all algorithms' size
-// grids as one sweep, since γ only enters the coefficient computation
-// *after* the measurements. Results are bit-identical to the serial
-// loops regardless of worker count.
+// AlphaBetaConfig exposes the engine's knobs (Workers, Cache, Progress,
+// Metrics) to broadcast and extended calibrations alike. Models submits
+// the γ grid and all algorithms' size grids as one sweep, since γ only
+// enters the coefficient computation *after* the measurements, and
+// AlphaBetaCollectives submits all of a family's (spec, size) points as
+// one sweep, so the plan-template fast path captures each structure
+// class once (CollectiveSpec.Segments completes the class key of the
+// segmenting algorithms). Results are bit-identical to the serial loops
+// regardless of worker count.
 package estimate

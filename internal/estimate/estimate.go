@@ -119,20 +119,24 @@ type AlphaBetaConfig struct {
 	// Settings drive the adaptive measurements.
 	Settings experiment.Settings
 	// Workers bounds the measurement concurrency of the estimation
-	// sweeps: 0 means runtime.GOMAXPROCS(0), 1 reproduces the serial
-	// path. Concurrency never changes the results — every experiment
-	// runs on its own simulator instance.
+	// sweeps, broadcast and extended families alike: 0 means
+	// runtime.GOMAXPROCS(0), 1 reproduces the serial path. Concurrency
+	// never changes the results — every experiment runs on its own
+	// simulator instance.
 	Workers int
-	// Cache, if non-nil, serves already-measured grid points (see
-	// experiment.Cache); repeated calibrations of the same profile with
-	// the same settings skip their measurements entirely.
+	// Cache, if non-nil, serves already-measured grid points of broadcast
+	// and extended calibrations (see experiment.Cache); repeated
+	// calibrations of the same profile with the same settings skip their
+	// measurements entirely.
 	Cache *experiment.Cache
-	// Progress, if non-nil, observes every completed measurement.
+	// Progress, if non-nil, observes every completed measurement,
+	// including each (spec, size) point of an extended family.
 	Progress experiment.Progress
 	// Metrics, if non-nil, receives the calibration sweep's counters plus
 	// per-algorithm fit spans, Huber iteration counts, and residual norms
-	// (see fitAlphaBeta). Purely observational: fitted parameters are
-	// bit-identical with or without it.
+	// (see fitSystem), labelled by broadcast algorithm or extended spec
+	// name. Purely observational: fitted parameters are bit-identical
+	// with or without it.
 	Metrics *obs.Registry
 }
 
@@ -232,23 +236,30 @@ func AlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg A
 // fitAlphaBeta solves the Fig. 4 system for one algorithm from its
 // measured §4.2 grid (measured[i] is the cfg.Sizes[i] experiment).
 func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg AlphaBetaConfig, measured []experiment.Result) (AlphaBetaResult, error) {
-	sp := cfg.Metrics.Span(obs.Name("estimate_fit", "alg", alg.String()))
+	ag, bg := model.GatherLinearCoefficients(cfg.Procs, cfg.GatherBytes)
+	return fitSystem(alg.String(), cfg, measured, func(m int) Equation {
+		ab, bb := model.Coefficients(alg, cfg.Procs, m, pr.SegmentSize, g)
+		return Equation{MsgBytes: m, GatherBytes: cfg.GatherBytes, A: ab + ag, B: bb + bg}
+	})
+}
+
+// fitSystem is the fit tail shared by broadcast and the extended
+// families: it completes the equation equation(m) builds for each
+// cfg.Sizes[i] with the measured mean of measured[i], solves the system
+// in its canonical form, and records the fit into cfg.Metrics — an
+// estimate_fit span plus iteration and residual-norm gauges, labelled
+// alg=name (the broadcast algorithm, or the extended spec's name).
+func fitSystem(name string, cfg AlphaBetaConfig, measured []experiment.Result, equation func(m int) Equation) (AlphaBetaResult, error) {
+	sp := cfg.Metrics.Span(obs.Name("estimate_fit", "alg", name))
 	defer sp.End()
 	res := AlphaBetaResult{Equations: make([]Equation, 0, len(cfg.Sizes))}
 	xs := make([]float64, 0, len(cfg.Sizes))
 	ys := make([]float64, 0, len(cfg.Sizes))
 	for i, m := range cfg.Sizes {
-		ab, bb := model.Coefficients(alg, cfg.Procs, m, pr.SegmentSize, g)
-		ag, bg := model.GatherLinearCoefficients(cfg.Procs, cfg.GatherBytes)
-		eq := Equation{
-			MsgBytes:    m,
-			GatherBytes: cfg.GatherBytes,
-			A:           ab + ag,
-			B:           bb + bg,
-			T:           measured[i].Meas.Mean,
-		}
+		eq := equation(m)
+		eq.T = measured[i].Meas.Mean
 		if eq.A <= 0 {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %v at m=%d", eq.A, alg, m)
+			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %s at m=%d", eq.A, name, m)
 		}
 		res.Equations = append(res.Equations, eq)
 		// Canonical form: α + β·(B/A) = T/A.
@@ -261,7 +272,7 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 	}
 	res.Fit, res.Params = fit, params
 	if m := cfg.Metrics; m != nil {
-		m.Gauge(obs.Name("estimate_fit_iterations", "alg", alg.String())).Set(float64(fit.Iterations))
+		m.Gauge(obs.Name("estimate_fit_iterations", "alg", name)).Set(float64(fit.Iterations))
 		// Residual norm on the relative scale the regression minimised:
 		// sqrt(mean((r_i / y_i)^2)) over the canonical-form equations.
 		var ss float64
@@ -269,7 +280,7 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 			rel := r / ys[i]
 			ss += rel * rel
 		}
-		m.Gauge(obs.Name("estimate_fit_residual_norm", "alg", alg.String())).Set(math.Sqrt(ss / float64(len(xs))))
+		m.Gauge(obs.Name("estimate_fit_residual_norm", "alg", name)).Set(math.Sqrt(ss / float64(len(xs))))
 	}
 	return res, nil
 }

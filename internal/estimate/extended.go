@@ -1,7 +1,9 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
@@ -24,48 +26,85 @@ type CollectiveSpec struct {
 	// Run executes one instance of the operation on every rank; m is the
 	// same size parameter passed to Coefficients.
 	Run func(p *mpi.Proc, m, segSize int)
+	// Segments, if non-nil, returns the segment count of a segmenting
+	// algorithm at (P, m, segSize). With the name and P it forms the
+	// spec's structure-class key, under which the calibration sweep
+	// captures one plan template and rebinds it for every other size of
+	// the class. Nil keys the class by name and P alone, which is exact
+	// for algorithms that never segment and merely slower (a diverging
+	// rebind re-captures) for those that do.
+	Segments func(P, m, segSize int) int
 }
 
-// AlphaBetaCollective estimates the algorithm-specific Hockney parameters
-// for an arbitrary collective, measuring complete executions (Completion
-// mode: the operation involves every rank symmetrically, so there is no
-// root-only finish to exploit) over the configured size grid.
-func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) (AlphaBetaResult, error) {
+// AlphaBetaCollectives estimates the algorithm-specific Hockney
+// parameters of every spec of a collective family, measuring complete
+// executions (Completion mode: the operation involves every rank
+// symmetrically, so there is no root-only finish to exploit) over the
+// configured size grid. All (spec, size) points run as one
+// experiment.Sweep — cfg's Workers, Cache, Progress and Metrics apply,
+// and a cancelled ctx stops it — followed by one Huber fit per spec;
+// results[i] belongs to specs[i] and is bit-identical to measuring the
+// points one by one.
+func AlphaBetaCollectives(ctx context.Context, pr cluster.Profile, specs []CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) ([]AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {
-		return AlphaBetaResult{}, err
+		return nil, err
 	}
-	if spec.Coefficients == nil || spec.Run == nil {
-		return AlphaBetaResult{}, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
-	}
-	res := AlphaBetaResult{Equations: make([]Equation, 0, len(cfg.Sizes))}
-	xs := make([]float64, 0, len(cfg.Sizes))
-	ys := make([]float64, 0, len(cfg.Sizes))
-	net, err := pr.Network()
+	points, err := collectivePoints(pr, specs, cfg)
 	if err != nil {
-		return AlphaBetaResult{}, err
+		return nil, err
 	}
-	for _, m := range cfg.Sizes {
-		meas, err := experiment.Measure(net, cfg.Procs, cfg.Settings, experiment.Completion, func(p *mpi.Proc) {
-			spec.Run(p, m, pr.SegmentSize)
+	measured, err := cfg.sweep(pr).Run(ctx, points)
+	if err != nil {
+		return nil, fmt.Errorf("estimate: α/β: %w", err)
+	}
+	return fitCollectives(pr, specs, g, cfg, measured)
+}
+
+// collectivePoints builds the family's grid, spec-major: the
+// len(cfg.Sizes) points of specs[i] start at i*len(cfg.Sizes).
+func collectivePoints(pr cluster.Profile, specs []CollectiveSpec, cfg AlphaBetaConfig) ([]experiment.Point, error) {
+	ops := make([]experiment.Collective, len(specs))
+	points := make([]experiment.Point, 0, len(specs)*len(cfg.Sizes))
+	for i, spec := range specs {
+		if spec.Coefficients == nil || spec.Run == nil {
+			return nil, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
+		}
+		ops[i] = experiment.Collective{Name: spec.Name, Run: spec.Run, Segments: spec.Segments}
+		for _, m := range cfg.Sizes {
+			points = append(points, experiment.Point{
+				Kind:     experiment.PointCollective,
+				Op:       &ops[i],
+				Procs:    cfg.Procs,
+				MsgBytes: m,
+				SegSize:  pr.SegmentSize,
+			})
+		}
+	}
+	return points, nil
+}
+
+// fitCollectives fits every spec from its slice of the measured
+// collectivePoints grid.
+func fitCollectives(pr cluster.Profile, specs []CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig, measured []experiment.Result) ([]AlphaBetaResult, error) {
+	out := make([]AlphaBetaResult, len(specs))
+	n := len(cfg.Sizes)
+	for i, spec := range specs {
+		var err error
+		out[i], err = fitSystem(spec.Name, cfg, measured[i*n:(i+1)*n], func(m int) Equation {
+			a, b := spec.Coefficients(cfg.Procs, m, pr.SegmentSize, g)
+			return Equation{MsgBytes: m, A: a, B: b}
 		})
 		if err != nil {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: %s at m=%d: %w", spec.Name, m, err)
+			return nil, err
 		}
-		a, b := spec.Coefficients(cfg.Procs, m, pr.SegmentSize, g)
-		if a <= 0 {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %s at m=%d", a, spec.Name, m)
-		}
-		res.Equations = append(res.Equations, Equation{MsgBytes: m, A: a, B: b, T: meas.Mean})
-		xs = append(xs, b/a)
-		ys = append(ys, meas.Mean/a)
 	}
-	res.Fit, res.Params, err = solveHockney(xs, ys)
-	if err != nil {
-		return AlphaBetaResult{}, err
-	}
-	return res, nil
+	return out, nil
 }
+
+// segmentsOf is the Segments of a spec whose operation splits m into
+// segSize-byte segments.
+func segmentsOf(P, m, segSize int) int { return coll.NumSegments(m, segSize) }
 
 // AllgatherSpecs returns estimation specs for every allgather algorithm;
 // the size parameter m is the per-rank block size.
@@ -100,9 +139,28 @@ func AllreduceSpecs() []CollectiveSpec {
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.Allreduce(p, alg, coll.Synthetic(m), nil, segSize)
 			},
+			Segments: allreduceSegments(alg),
 		})
 	}
 	return specs
+}
+
+// allreduceSegments is the Segments of an allreduce algorithm: the
+// reduce+bcast composition segments its broadcast, and recursive
+// doubling falls back to that composition at a non-power-of-two P.
+func allreduceSegments(alg coll.AllreduceAlgorithm) func(P, m, segSize int) int {
+	switch alg {
+	case coll.AllreduceReduceBcast:
+		return segmentsOf
+	case coll.AllreduceRecursiveDoubling:
+		return func(P, m, segSize int) int {
+			if bits.OnesCount(uint(P)) == 1 {
+				return 1
+			}
+			return segmentsOf(P, m, segSize)
+		}
+	}
+	return nil
 }
 
 // ReduceSpecs returns estimation specs for every reduce algorithm; the
@@ -111,7 +169,7 @@ func ReduceSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.ReduceAlgorithms()))
 	for _, alg := range coll.ReduceAlgorithms() {
 		alg := alg
-		specs = append(specs, CollectiveSpec{
+		spec := CollectiveSpec{
 			Name: "reduce/" + alg.String(),
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceCoefficients(alg, P, m, segSize, g)
@@ -119,7 +177,11 @@ func ReduceSpecs() []CollectiveSpec {
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, segSize)
 			},
-		})
+		}
+		if alg == coll.ReducePipeline {
+			spec.Segments = segmentsOf
+		}
+		specs = append(specs, spec)
 	}
 	return specs
 }

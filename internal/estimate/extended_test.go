@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -52,11 +53,12 @@ func TestEverySpecRunsAndFits(t *testing.T) {
 	g := model.UnitGamma()
 	cfg := AlphaBetaConfig{Procs: 8, Sizes: []int{2048, 16384, 131072}, Settings: fastSettings()}
 	for name, specs := range AllSpecFamilies() {
-		for _, spec := range specs {
-			res, err := AlphaBetaCollective(pr, spec, g, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.Name, err)
-			}
+		results, err := AlphaBetaCollectives(context.Background(), pr, specs, g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, spec := range specs {
+			res := results[i]
 			if res.Params.Beta <= 0 {
 				t.Errorf("%s: β = %v", spec.Name, res.Params.Beta)
 			}
@@ -69,7 +71,6 @@ func TestEverySpecRunsAndFits(t *testing.T) {
 				}
 			}
 		}
-		_ = name
 	}
 }
 
@@ -95,10 +96,11 @@ func TestSpecPredictionAccuracy(t *testing.T) {
 		ScatterSpecs()[1],       // binomial
 		ReduceScatterSpecs()[0], // ring
 	} {
-		res, err := AlphaBetaCollective(pr, spec, gr.Gamma, cfg)
+		results, err := AlphaBetaCollectives(context.Background(), pr, []CollectiveSpec{spec}, gr.Gamma, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := results[0]
 		a, b := spec.Coefficients(16, held, pr.SegmentSize, gr.Gamma)
 		pred := a*res.Params.Alpha + b*res.Params.Beta
 		net, err := pr.Network()
@@ -123,11 +125,11 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 	pr, _ := cluster.Grisou().WithNodes(8)
 	g := model.UnitGamma()
 	good := AllgatherSpecs()[0]
-	if _, err := AlphaBetaCollective(pr, CollectiveSpec{Name: "nil"}, g,
+	if _, err := AlphaBetaCollectives(context.Background(), pr, []CollectiveSpec{{Name: "nil"}}, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("nil spec members should fail")
 	}
-	if _, err := AlphaBetaCollective(pr, good, g,
+	if _, err := AlphaBetaCollectives(context.Background(), pr, []CollectiveSpec{good}, g,
 		AlphaBetaConfig{Procs: 999, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("bad procs should fail")
 	}
@@ -137,7 +139,7 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 		Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) { return 0, 0 },
 		Run:          good.Run,
 	}
-	if _, err := AlphaBetaCollective(pr, degenerate, g,
+	if _, err := AlphaBetaCollectives(context.Background(), pr, []CollectiveSpec{degenerate}, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("zero coefficient should fail")
 	}

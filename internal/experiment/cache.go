@@ -33,6 +33,9 @@ type cacheKeyBlob struct {
 	MsgBytes int
 	SegSize  int
 	Gather   int
+	// Spec names a PointCollective's operation; omitted for the other
+	// kinds, so their keys are unchanged.
+	Spec string `json:",omitempty"`
 }
 
 // cacheKeyVersion invalidates every existing cache entry when the
@@ -41,6 +44,10 @@ type cacheKeyBlob struct {
 const cacheKeyVersion = 1
 
 func cacheKey(pr cluster.Profile, pt Point, set Settings) string {
+	var spec string
+	if pt.Kind == PointCollective {
+		spec = pt.Op.Name
+	}
 	blob, err := json.Marshal(cacheKeyBlob{
 		Version:  cacheKeyVersion,
 		Profile:  pr,
@@ -51,6 +58,7 @@ func cacheKey(pr cluster.Profile, pt Point, set Settings) string {
 		MsgBytes: pt.MsgBytes,
 		SegSize:  pt.SegSize,
 		Gather:   pt.GatherBytes,
+		Spec:     spec,
 	})
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail on them.

@@ -35,7 +35,9 @@
 // figures; with the non-blocking linear algorithm and a single segment it
 // is the §4.1 γ(P) experiment. The §4.2 estimation experiment (the
 // modelled broadcast followed by a small linear gather, timed on the
-// root) is the sweep's PointBcastThenGather kind, and MeasureComposedClass
+// root) is the sweep's PointBcastThenGather kind; the extended families'
+// experiments are PointCollective points, each carrying its operation
+// through a comparable *Collective handle; and MeasureComposedClass
 // measures any chain of stages.
 //
 // # Execution engines
@@ -47,8 +49,10 @@
 // goroutine-free plan walk with replayed clocks — then re-times the rest
 // in lane batches. The template fast path rebinds a structure class's
 // validated plan (the same walk with the clock frozen) and re-times
-// every repetition with the same lane-batched loop. Samples are
-// bit-identical across engines.
+// every repetition with the same lane-batched loop. A sweep whose
+// template store lives only for its Run publishes no template for a
+// class with a single point in the grid (counted as a singleton), since
+// nothing could rebind it. Samples are bit-identical across engines.
 //
 // # Sweep engine
 //

@@ -192,6 +192,10 @@ var (
 	mReplayTransfers = "experiment_replay_transfers_total"
 	mPlanTemplates   = "experiment_plan_templates_total"
 	mPlanRebinds     = "experiment_plan_rebinds_total"
+	// mPlanSingletons counts points a sweep measured without their
+	// structure class: the class had no other point in the Run, so its
+	// template would never have been rebound (see Sweep.Templates).
+	mPlanSingletons = "experiment_plan_singletons_total"
 	// mCaptureDedup counts captures avoided by single-flight election: a
 	// worker that blocked on another worker's in-flight capture of the
 	// same structure class and came back holding the published template.

@@ -26,6 +26,11 @@ const (
 	// gather of GatherBytes per rank, timed on the root (the experiment
 	// starts and finishes there).
 	PointBcastThenGather
+	// PointCollective measures one execution of the collective Op with
+	// size parameter MsgBytes and segment size SegSize in Completion mode
+	// (the extended families' §4.2 experiment: the operation involves
+	// every rank symmetrically, so there is no root-only finish).
+	PointCollective
 )
 
 func (k Kind) String() string {
@@ -34,9 +39,30 @@ func (k Kind) String() string {
 		return "bcast"
 	case PointBcastThenGather:
 		return "bcast+gather"
+	case PointCollective:
+		return "collective"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// Collective is a named collective operation a PointCollective grid
+// point measures. Points refer to it by pointer, which keeps Point
+// comparable: two points run the same operation when they hold the same
+// *Collective.
+type Collective struct {
+	// Name identifies the operation, e.g. "allreduce/ring". It keys the
+	// measurement cache and the structure class, so it must be unique
+	// among the operations measured on one profile.
+	Name string
+	// Run executes one instance of the operation on every rank; m and
+	// segSize are the point's MsgBytes and SegSize.
+	Run func(p *mpi.Proc, m, segSize int)
+	// Segments, if non-nil, returns the number of segments the operation
+	// splits into on procs ranks at (m, segSize): the one size-dependent
+	// input of a segmenting algorithm's communication structure. Nil means
+	// the structure is a function of the communicator size alone.
+	Segments func(procs, m, segSize int) int
 }
 
 // Point is one cell of a measurement grid: a fully specified experiment
@@ -47,6 +73,8 @@ type Point struct {
 	Kind Kind
 	// Alg is the broadcast algorithm under measurement.
 	Alg coll.BcastAlgorithm
+	// Op is the collective under measurement (PointCollective only).
+	Op *Collective
 	// Procs is the communicator size.
 	Procs int
 	// MsgBytes is the broadcast message size m.
@@ -59,6 +87,9 @@ type Point struct {
 }
 
 func (pt Point) String() string {
+	if pt.Kind == PointCollective {
+		return fmt.Sprintf("%s P=%d m=%d seg=%d", pt.Op.Name, pt.Procs, pt.MsgBytes, pt.SegSize)
+	}
 	s := fmt.Sprintf("%v %v P=%d m=%d seg=%d", pt.Kind, pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
 	if pt.Kind == PointBcastThenGather {
 		s += fmt.Sprintf(" mg=%d", pt.GatherBytes)
@@ -82,6 +113,12 @@ func (pt Point) classKey() string {
 		return coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
 	case PointBcastThenGather:
 		return coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize) + gatherClassSuffix
+	case PointCollective:
+		segs := 1
+		if pt.Op.Segments != nil {
+			segs = pt.Op.Segments(pt.Procs, pt.MsgBytes, pt.SegSize)
+		}
+		return fmt.Sprintf("%s/P=%d/segs=%d", pt.Op.Name, pt.Procs, segs)
 	}
 	return ""
 }
@@ -165,6 +202,9 @@ type Sweep struct {
 	// point of the class goroutine-free (mpi.Runner.Rebind). When nil and
 	// templating is not disabled, Run uses the Pool's store (which
 	// persists across sweeps) or, pool-less, a store scoped to the Run.
+	// A Run-scoped store holds only classes with at least two points in
+	// the grid: a singleton class's template could never be rebound, so
+	// its point is measured by capture and replay without publishing.
 	// Templates are keyed by structure class within one platform, so a
 	// store must not be shared across Profiles; samples are bit-identical
 	// with templating on, off, or partially warm.
@@ -253,11 +293,13 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	// structure classes recurring within this grid still capture once.
 	// The scheduler engine never consults templates.
 	tmpls := s.Templates
+	scoped := false // the store lives only as long as this Run
 	if tmpls == nil && !s.DisableTemplates && s.Settings.Engine != EngineScheduler {
 		if s.Pool != nil {
 			tmpls = s.Pool.Templates()
 		} else {
 			tmpls = mpi.NewTemplateStore()
+			scoped = true
 		}
 	}
 	if s.DisableTemplates {
@@ -277,9 +319,15 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	// (mpi.TemplateStore.Acquire) instead of duplicating the capture.
 	// Untemplated sweeps skip the grouping: leaders stays empty and rest
 	// is the whole grid in order, the plain chunked distribution.
+	//
+	// With a Run-scoped store, a class with a single point in the grid is
+	// a singleton: its template would die with the Run unused, so the
+	// point is measured with no class attached (no flight, no clone, no
+	// retained plan). alone marks those points.
 	var leaders, rest []int
+	var alone []bool
 	if tmpls != nil {
-		seen := make(map[string]struct{}, len(points))
+		size := make(map[string]int, len(points))
 		rest = make([]int, 0, len(points))
 		for i, pt := range points {
 			key := pt.classKey()
@@ -287,11 +335,16 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 				rest = append(rest, i)
 				continue
 			}
-			if _, ok := seen[key]; ok {
+			if size[key]++; size[key] > 1 {
 				rest = append(rest, i)
 			} else {
-				seen[key] = struct{}{}
 				leaders = append(leaders, i)
+			}
+		}
+		if scoped {
+			alone = make([]bool, len(points))
+			for _, i := range leaders {
+				alone[i] = size[points[i].classKey()] == 1
 			}
 		}
 	} else {
@@ -369,7 +422,7 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 			// lock — the WaitGroup publishes the writes to Run's return.
 			// Only Progress (serialised by contract) takes the mutex.
 			work := func(i int) bool {
-				r, err := s.measure(points[i], acquire, tmpls)
+				r, err := s.measure(points[i], acquire, tmpls, alone != nil && alone[i])
 				if err != nil {
 					fail(fmt.Errorf("sweep point %d (%v): %w", i, points[i], err))
 					return false
@@ -432,8 +485,10 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 // measure serves one point, through the cache when one is attached.
 // acquire returns the worker's Runner, creating or borrowing it on the
 // first measured point; cached points never touch a Runner. tmpls, which
-// may be nil, is the resolved plan-template store (see Sweep.Templates).
-func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi.TemplateStore) (Result, error) {
+// may be nil, is the resolved plan-template store (see Sweep.Templates);
+// a singleton point is measured without it, because no other point of
+// the Run could rebind its class's template.
+func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi.TemplateStore, singleton bool) (Result, error) {
 	var key string
 	if s.Cache != nil {
 		key = cacheKey(s.Profile, pt, s.Settings)
@@ -446,9 +501,15 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 	if err != nil {
 		return Result{}, err
 	}
+	if singleton {
+		tmpls = nil
+	}
 	m, err := measurePoint(runner, s.Profile, s.Settings, pt, tmpls)
 	if err != nil {
 		return Result{}, err
+	}
+	if singleton {
+		runner.Metrics().Counter(mPlanSingletons).Inc()
 	}
 	s.Metrics.Counter("sweep_points_measured_total").Inc()
 	if s.Cache != nil {
@@ -467,6 +528,10 @@ func measurePoint(r *mpi.Runner, pr cluster.Profile, set Settings, pt Point, tmp
 	case PointBcastThenGather:
 		return MeasureComposedClass(r, pr, pt.Procs, set, RootTime, pt.classKey(), tmpls,
 			bcastOp(pt.Alg, pt.MsgBytes, pt.SegSize), linearGatherOp(pt.GatherBytes))
+	case PointCollective:
+		return MeasureComposedClass(r, pr, pt.Procs, set, Completion, pt.classKey(), tmpls, func(p *mpi.Proc) {
+			pt.Op.Run(p, pt.MsgBytes, pt.SegSize)
+		})
 	}
 	return Measurement{}, fmt.Errorf("experiment: unknown point kind %v", pt.Kind)
 }

@@ -8,7 +8,6 @@ import (
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/obs"
-	"mpicollperf/internal/simnet"
 )
 
 // templateProfile is the noisy 16-node platform the template tests
@@ -191,23 +190,21 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 				}
 				tpls := reg.Counter("experiment_plan_templates_total").Value()
 				rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
+				singletons := reg.Counter(mPlanSingletons).Value()
 				if disabled {
-					if tpls != 0 || rebinds != 0 {
-						t.Fatalf("%s: templating disabled but %d templates / %d rebinds counted", label("metrics"), tpls, rebinds)
+					if tpls != 0 || rebinds != 0 || singletons != 0 {
+						t.Fatalf("%s: templating disabled but %d templates / %d rebinds / %d singletons counted", label("metrics"), tpls, rebinds, singletons)
 					}
 					continue
 				}
-				// Every point either captured (publishing a template) or
-				// rebound; racing workers may duplicate a capture but can
-				// never miss a class.
-				if tpls+rebinds != int64(len(grid)) {
-					t.Fatalf("%s: %d templates + %d rebinds != %d points (workers=%d)", label("metrics"), tpls, rebinds, len(grid), workers)
+				// Every point either captured (publishing a template, or
+				// alone in its class in this Run-scoped store) or rebound,
+				// and every class captured exactly once.
+				if tpls+singletons+rebinds != int64(len(grid)) {
+					t.Fatalf("%s: %d templates + %d singletons + %d rebinds != %d points (workers=%d)", label("metrics"), tpls, singletons, rebinds, len(grid), workers)
 				}
-				if tpls < int64(classes) {
-					t.Fatalf("%s: %d templates for %d classes (workers=%d)", label("metrics"), tpls, classes, workers)
-				}
-				if workers == 1 && tpls != int64(classes) {
-					t.Fatalf("%s: serial sweep captured %d times for %d classes — capture is not once-per-class", label("metrics"), tpls, classes)
+				if tpls+singletons != int64(classes) {
+					t.Fatalf("%s: %d templates + %d singletons for %d classes (workers=%d) — capture is not once-per-class", label("metrics"), tpls, singletons, classes, workers)
 				}
 				if n := reg.Counter(mFallbacksByWhy[FallbackRebindDivergence]).Value(); n != 0 {
 					t.Fatalf("%s: %d unexplained rebind divergences", label("metrics"), n)
@@ -282,70 +279,52 @@ func TestSweepPoolTemplatesPersist(t *testing.T) {
 	}
 }
 
-// FuzzRebindMatchesCapture is the template fast path's differential fuzz
-// target: for any cluster shape, algorithm, and pair of message sizes,
-// measuring the two points through a shared template store (capture the
-// first, rebind or capture the second, rebind the first again) must be
-// bit-identical to measuring each on a fresh-path Runner with no store.
-func FuzzRebindMatchesCapture(f *testing.F) {
-	f.Add(uint8(8), uint8(1), uint8(0), uint16(64), uint16(64), uint8(1), uint8(50), int64(1))
-	f.Add(uint8(16), uint8(2), uint8(3), uint16(256), uint16(255), uint8(2), uint8(30), int64(1001))
-	f.Add(uint8(5), uint8(1), uint8(5), uint16(8), uint16(512), uint8(0), uint8(0), int64(7))
-	f.Add(uint8(12), uint8(3), uint8(2), uint16(1024), uint16(8), uint8(1), uint8(80), int64(-3))
-	f.Add(uint8(3), uint8(2), uint8(4), uint16(1), uint16(2), uint8(3), uint8(10), int64(42))
-	f.Fuzz(func(t *testing.T, nodes, ppn, algIdx uint8, m1KB, m2KB uint16, segSel, noiseMil uint8, seed int64) {
-		nprocs := 2 + int(nodes)%15 // 2..16
-		cfg := simnet.Config{
-			Nodes:        nprocs,
-			Latency:      20e-6,
-			ByteTimeSend: 1e-9,
-			ByteTimeRecv: 1e-9,
-			SendOverhead: 1e-6,
-			RecvOverhead: 1e-6,
-		}
-		if p := 1 + int(ppn)%3; p > 1 {
-			cfg.ProcsPerNode = p
-			cfg.IntraNodeLatency = 1e-6
-			cfg.IntraNodeByteTime = 1e-10
-		}
-		if amp := float64(noiseMil%101) / 1000; amp > 0 {
-			cfg.NoiseAmplitude = amp
-			cfg.NoiseSeed = seed
-		}
-		algs := coll.BcastAlgorithms()
-		alg := algs[int(algIdx)%len(algs)]
-		seg := []int{0, 8192, 16384, 65536}[int(segSel)%4]
-		sizes := []int{1024 * (1 + int(m1KB)%1024), 1024 * (1 + int(m2KB)%1024)}
-		set := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 8, Warmup: 1}
-		newRunner := func() *mpi.Runner {
-			net, err := simnet.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mpi.NewRunnerOn(net, mpi.Options{})
-		}
-		measure := func(r *mpi.Runner, m int, store *mpi.TemplateStore) Measurement {
-			cls := planClass{}
-			if store != nil {
-				cls = planClass{key: coll.BcastClassKey(alg, nprocs, m, seg), store: store}
-			}
-			meas, err := measureOnClass(r, nprocs, set, Completion, func(p *mpi.Proc) {
-				coll.Bcast(p, alg, 0, coll.Synthetic(m), seg)
-			}, cls)
-			if err != nil {
-				t.Fatalf("%v m=%d (store=%v): %v", alg, m, store != nil, err)
-			}
-			return meas
-		}
-		ref := newRunner()
-		templated := newRunner()
-		store := mpi.NewTemplateStore()
-		// Sequence: m1 captures its class, m2 rebinds or captures, m1
-		// rebinds — each must match a store-free measurement bit for bit.
-		for _, m := range []int{sizes[0], sizes[1], sizes[0]} {
-			want := measure(ref, m, nil)
-			got := measure(templated, m, store)
-			sameMeasurement(t, alg.String(), want, got)
-		}
-	})
+// TestSweepSingletonClasses: a Run-scoped store publishes no template
+// for a class with a single point in the grid (nothing could rebind it
+// before the store dies), while a Pool's store and an explicit store,
+// which outlive the Run, still publish every class.
+func TestSweepSingletonClasses(t *testing.T) {
+	pr := templateProfile(t)
+	// Binomial segments, so the two sizes are two one-point classes.
+	grid := BcastGrid(16, []coll.BcastAlgorithm{coll.BcastBinomial}, []int{8192, 131072}, pr.SegmentSize)
+	if distinctClasses(grid) != len(grid) {
+		t.Fatalf("grid has %d classes over %d points, want all singletons", distinctClasses(grid), len(grid))
+	}
+	counts := func(reg *obs.Registry) (tpls, singletons int64) {
+		return reg.Counter(mPlanTemplates).Value(), reg.Counter(mPlanSingletons).Value()
+	}
+
+	reg := obs.NewRegistry()
+	scoped := Sweep{Profile: pr, Settings: fastSettings(), Workers: 1, Metrics: reg}
+	if _, err := scoped.Run(context.Background(), grid); err != nil {
+		t.Fatal(err)
+	}
+	if tpls, singletons := counts(reg); tpls != 0 || singletons != int64(len(grid)) {
+		t.Fatalf("Run-scoped store: %d templates, %d singletons; want 0 and %d", tpls, singletons, len(grid))
+	}
+
+	reg = obs.NewRegistry()
+	pool, err := NewRunnerPool(pr, 1, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := Sweep{Profile: pr, Settings: fastSettings(), Workers: 1, Pool: pool}
+	if _, err := pooled.Run(context.Background(), grid); err != nil {
+		t.Fatal(err)
+	}
+	if tpls, singletons := counts(reg); tpls != int64(len(grid)) || singletons != 0 {
+		t.Fatalf("pool store: %d templates, %d singletons; want %d and 0", tpls, singletons, len(grid))
+	}
+	if n := pool.Templates().Len(); n != len(grid) {
+		t.Fatalf("pool store holds %d templates, want %d", n, len(grid))
+	}
+
+	store := mpi.NewTemplateStore()
+	explicit := Sweep{Profile: pr, Settings: fastSettings(), Workers: 1, Templates: store}
+	if _, err := explicit.Run(context.Background(), grid); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != len(grid) {
+		t.Fatalf("explicit store holds %d templates, want %d", n, len(grid))
+	}
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"mpicollperf/internal/simnet"
 )
@@ -33,24 +34,29 @@ const (
 	evMark
 )
 
-// capEvent is one recorded trace event. Slot numbers are capture-global
-// (assigned in processing order) and remapped to plan-local slots by
-// Capture.Plan.
+// capEvent is one recorded trace event (48 bytes). Slot numbers are
+// capture-global (assigned in processing order) and remapped to
+// plan-local slots by Capture.Plan. Peers and tags are stored as int32;
+// a run whose peer or tag does not fit is flagged (capture.wide) and
+// never compiles, so the narrowing cannot change what a plan replays.
 type capEvent struct {
-	kind evKind
-	rank int32
+	kind   evKind
+	posted bool // send: recv was posted first; recv: message arrived first
+	rank   int32
 	// send / recv
-	peer     int   // send: destination rank; recv: source rank
-	tag      int   // message tag
+	peer     int32 // send: destination rank; recv: source rank
+	tag      int32 // message tag
 	bytes    int   // send: message size
 	slot     int32 // send/recv request slot
 	peerSlot int32 // send: the recv slot the message binds, -1 if never received
-	posted   bool  // send: recv was posted first; recv: message arrived first
 	// sleep
 	dur float64
 	// wait: slots live at waitSlots[wOff : wOff+wLen]
 	wOff, wLen int32
 }
+
+// fitsInt32 reports whether v survives narrowing to int32.
+func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 // capKey identifies one unexpected-message FIFO during capture.
 type capKey struct {
@@ -71,6 +77,7 @@ type capture struct {
 	marks       []int32 // indices into events, in order
 	nextSlot    int32   // slot ids live on the requests themselves (Request.slot)
 	payload     bool    // some send carried real payload bytes
+	wide        bool    // some peer or tag does not fit an int32
 	// unexp mirrors the scheduler's unexpected-message queues with the
 	// indices of the send events whose messages sit in them, so a receive
 	// that pops an unexpected message can be wired to the send that
@@ -102,6 +109,7 @@ func (c *capture) reset(net *simnet.Network, nprocs int, barrierCost float64) {
 	c.marks = c.marks[:0]
 	c.nextSlot = 0
 	c.payload = false
+	c.wide = false
 	// A completed run leaves the unexpected-message mirror empty unless it
 	// ended with undelivered sends; clear any leftovers.
 	for k := range c.unexp {
@@ -139,10 +147,19 @@ func (c *capture) send(op *operation) {
 	if op.data != nil {
 		c.payload = true
 	}
+	c.narrow(op)
 	c.events = append(c.events, capEvent{
-		kind: evSend, rank: int32(op.rank), peer: op.peer, tag: op.tag,
+		kind: evSend, rank: int32(op.rank), peer: int32(op.peer), tag: int32(op.tag),
 		bytes: op.bytes, slot: slot, peerSlot: -1,
 	})
+}
+
+// narrow flags the capture when op's peer or tag would not survive the
+// int32 event layout.
+func (c *capture) narrow(op *operation) {
+	if !fitsInt32(op.peer) || !fitsInt32(op.tag) {
+		c.wide = true
+	}
 }
 
 // deliverPosted wires the send event just recorded to the already-posted
@@ -165,7 +182,8 @@ func (c *capture) recvPosted(op *operation) {
 	slot := c.nextSlot
 	c.nextSlot++
 	op.req.slot = slot
-	c.events = append(c.events, capEvent{kind: evRecv, rank: int32(op.rank), peer: op.peer, tag: op.tag, slot: slot})
+	c.narrow(op)
+	c.events = append(c.events, capEvent{kind: evRecv, rank: int32(op.rank), peer: int32(op.peer), tag: int32(op.tag), slot: slot})
 }
 
 // recvPending records a receive that popped an already-delivered
@@ -180,7 +198,8 @@ func (c *capture) recvPending(op *operation, key matchKey) {
 	c.unexp[k] = q[1:]
 	c.events[sendIdx].peerSlot = slot
 	c.events[sendIdx].posted = false
-	c.events = append(c.events, capEvent{kind: evRecv, rank: int32(op.rank), peer: op.peer, tag: op.tag, slot: slot, posted: true})
+	c.narrow(op)
+	c.events = append(c.events, capEvent{kind: evRecv, rank: int32(op.rank), peer: int32(op.peer), tag: int32(op.tag), slot: slot, posted: true})
 }
 
 // Capture is the immutable trace of one RunCapture run.
@@ -191,6 +210,7 @@ type Capture struct {
 	barrierCost float64
 	slots       int
 	payload     bool
+	wide        bool
 	events      []capEvent
 	waitSlots   []int32
 	marks       []int32
@@ -205,45 +225,61 @@ func (c *Capture) MarkCount() int { return len(c.marks) }
 // stay on the scheduler engine.
 func (c *Capture) HasPayload() bool { return c.payload }
 
-// planEvent is one structural event of a compiled Plan: the part of an
-// event that is a function of the program's communication pattern alone —
-// kind, endpoints, request wiring — and therefore shared by every grid
-// point of the same structure class. The owning rank is implicit: events
-// are stored rank-major (see Plan.rankOff). Per-point quantities (byte
-// counts, link timings, sleep durations, jitter-draw flags) live in the
-// parallel planBind array, so a template's skeleton can be rebound to a
-// new operation without recompiling (Runner.Rebind).
+// planEvent is one structural event of a compiled Plan (28 bytes): the
+// part of an event that is a function of the program's communication
+// pattern alone — kind, endpoints, request wiring — and therefore shared
+// by every grid point of the same structure class. The owning rank is
+// implicit: events are stored rank-major (see Plan.rankOff). Per-point
+// quantities (byte counts, sleep durations, the index of the send's link
+// timing) live in the parallel planBind array, so a template's skeleton
+// can be rebound to a new operation without recompiling (Runner.Rebind).
 type planEvent struct {
 	kind   evKind
 	srcNIC int32
 	dstNIC int32
-	slot   int32
-	// send: the recv slot the message binds, -1 if never received.
+	// send/recv: the request slot. wait: the offset of its slots in
+	// Plan.waitSlots (a wait introduces no slot of its own).
+	slot int32
+	// send: the recv slot the message binds, -1 if never received. wait:
+	// the number of slots it joins (a wait binds no message).
 	peerSlot int32
 	// peer rank and message tag, kept so an echo or rebind pass can
 	// compare a re-executed operation stream against the plan.
-	peer int
-	tag  int
-	wOff int32
-	wLen int32
+	peer int32
+	tag  int32
 }
 
-// planBind is the per-point binding of one plan event: everything replay
-// reads that depends on the operation's sizes rather than its structure.
-// All times are precomputed constants (the send's effective LinkTiming
-// from simnet.Network.TimingFor, which folds in any time-invariant
-// perturbations); virtual times are produced only at replay.
+// waitSet returns the plan-local slots the wait event e joins.
+func (p *Plan) waitSet(e *planEvent) []int32 {
+	return p.waitSlots[e.slot : e.slot+e.peerSlot]
+}
+
+// planBind is the per-point binding of one plan event (16 bytes):
+// everything replay reads that depends on the operation's sizes rather
+// than its structure. All times are precomputed constants (the send's
+// effective LinkTiming from simnet.Network.TimingFor, which folds in any
+// time-invariant perturbations, kept once per send in Plan.timings);
+// virtual times are produced only at replay.
 type planBind struct {
 	// bytes is the message size (for a receive: the matched message's
-	// size, back-filled from the send).
-	bytes int
-	// lt is the send's effective timing parameters (zero for non-sends);
-	// lt.Local marks a co-located send: shared NIC, no ports, no jitter.
-	lt simnet.LinkTiming
+	// size, back-filled from the send). Sizes beyond int32 never compile.
+	bytes int32
+	// timing is packed send state (zero for non-sends): timing>>1 indexes
+	// Plan.timings, and the low bit reports that the send consumes one
+	// jitter factor.
+	timing int32
 	// dur is the sleep duration (zero for non-sleeps).
 	dur float64
-	// draws reports that the send consumes one jitter factor.
-	draws bool
+}
+
+// sendTiming packs a send's timing-table index and jitter-draw flag into
+// planBind.timing.
+func sendTiming(idx int, draws bool) int32 {
+	t := int32(idx) << 1
+	if draws {
+		t |= 1
+	}
+	return t
 }
 
 // Plan is the immutable, replayable structure of one repetition: the
@@ -270,11 +306,13 @@ type Plan struct {
 	// rankOff[r]..rankOff[r+1] bound rank r's events; len nprocs+1.
 	rankOff []int32
 	// events is the structural skeleton; binds is its parallel per-point
-	// binding (binds[i] belongs to events[i]). A rebound plan
-	// (Runner.Rebind) aliases a template's skeleton slices and owns only
-	// a fresh binds array.
+	// binding (binds[i] belongs to events[i]) and timings holds one link
+	// timing per send, in event order. A rebound plan (Runner.Rebind)
+	// aliases a template's skeleton slices and owns only fresh binds and
+	// timings arrays.
 	events    []planEvent
 	binds     []planBind
+	timings   []simnet.LinkTiming
 	waitSlots []int32
 	// slotOwner is the rank whose send/recv introduced each slot; slotPend
 	// is the number of halves that must complete before the slot's request
@@ -317,6 +355,7 @@ func (p *Plan) Clone() *Plan {
 	q.rankOff = append([]int32(nil), p.rankOff...)
 	q.events = append([]planEvent(nil), p.events...)
 	q.binds = append([]planBind(nil), p.binds...)
+	q.timings = append([]simnet.LinkTiming(nil), p.timings...)
 	q.waitSlots = append([]int32(nil), p.waitSlots...)
 	q.slotOwner = append([]int32(nil), p.slotOwner...)
 	q.slotPend = append([]uint8(nil), p.slotPend...)
@@ -349,7 +388,8 @@ func growI32(s []int32, n int) []int32 {
 // It fails if the segment's communication does not close over itself —
 // a send matched by a receive outside the segment, a wait on such a
 // receive, or a request posted outside the segment; such a structure
-// cannot be replayed in isolation.
+// cannot be replayed in isolation. It also fails, rather than truncate,
+// when a peer, tag or byte count does not fit the plan's int32 layout.
 func (c *Capture) Plan(fromMark, toMark int) (*Plan, error) {
 	return c.plan(&Plan{}, &planScratch{}, fromMark, toMark)
 }
@@ -357,6 +397,9 @@ func (c *Capture) Plan(fromMark, toMark int) (*Plan, error) {
 func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Plan, error) {
 	if fromMark < 0 || fromMark >= len(c.marks) || (toMark >= 0 && (toMark >= len(c.marks) || toMark <= fromMark)) {
 		return nil, fmt.Errorf("mpi: plan marks %d..%d outside trace with %d marks", fromMark, toMark, len(c.marks))
+	}
+	if c.wide {
+		return nil, fmt.Errorf("mpi: plan: peer or tag beyond int32")
 	}
 	lo := int(c.marks[fromMark]) + 1
 	hi := len(c.events)
@@ -370,6 +413,7 @@ func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Pl
 		rankOff:     growI32(p.rankOff, c.nprocs+1),
 		events:      p.events[:0],
 		binds:       p.binds[:0],
+		timings:     p.timings[:0],
 		waitSlots:   p.waitSlots[:0],
 		slotOwner:   p.slotOwner[:0],
 		slotPend:    p.slotPend[:0],
@@ -470,19 +514,23 @@ func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Pl
 			}
 			e := &c.events[i]
 			pe := planEvent{kind: e.kind, peerSlot: -1, peer: e.peer, tag: e.tag}
-			pb := planBind{bytes: e.bytes, dur: e.dur}
+			pb := planBind{dur: e.dur}
 			switch e.kind {
 			case evSend:
+				if e.bytes > math.MaxInt32 {
+					return nil, fmt.Errorf("mpi: plan: %d-byte send beyond the int32 layout", e.bytes)
+				}
+				pb.bytes = int32(e.bytes)
 				pe.slot = remap[e.slot]
 				pe.srcNIC = int32(c.cfg.NIC(int(e.rank)))
-				pe.dstNIC = int32(c.cfg.NIC(e.peer))
-				pb.lt = c.net.TimingFor(int(e.rank), e.peer, e.bytes)
-				if !pb.lt.Local {
-					pb.draws = noisy && pb.lt.TxTime > 0
-					if pb.draws {
-						p.draws++
-					}
+				pe.dstNIC = int32(c.cfg.NIC(int(e.peer)))
+				lt := c.net.TimingFor(int(e.rank), int(e.peer), e.bytes)
+				draws := !lt.Local && noisy && lt.TxTime > 0
+				if draws {
+					p.draws++
 				}
+				pb.timing = sendTiming(len(p.timings), draws)
+				p.timings = append(p.timings, lt)
 				p.sends++
 				p.slotEvent[pe.slot] = int32(len(p.events))
 				if e.peerSlot >= 0 {
@@ -497,8 +545,8 @@ func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Pl
 				pe.slot = remap[e.slot]
 				p.slotEvent[pe.slot] = int32(len(p.events))
 			case evWait:
-				pe.wOff = int32(len(p.waitSlots))
-				pe.wLen = e.wLen
+				pe.slot = int32(len(p.waitSlots))
+				pe.peerSlot = e.wLen
 				for _, s := range c.waitSlots[e.wOff : e.wOff+e.wLen] {
 					m := remap[s]
 					if m < 0 {
@@ -536,7 +584,7 @@ func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Pl
 
 // EquivalentTo reports whether two plans describe bit-for-bit the same
 // communication structure: same per-rank programs, same NICs, byte
-// times, request wiring, and barrier cost. The canonical form erases the
+// times, link timings, request wiring, and barrier cost. The canonical form erases the
 // captured interleaving, so two repetitions of a timing-independent
 // program are equivalent under any jitter draws — that equivalence is
 // the gate for replaying further repetitions from either plan.
@@ -544,7 +592,8 @@ func (p *Plan) EquivalentTo(q *Plan) bool {
 	if p.nprocs != q.nprocs || p.nics != q.nics || p.slots != q.slots ||
 		p.draws != q.draws || p.marks != q.marks || p.sends != q.sends ||
 		p.barrierCost != q.barrierCost ||
-		len(p.events) != len(q.events) || len(p.waitSlots) != len(q.waitSlots) {
+		len(p.events) != len(q.events) || len(p.waitSlots) != len(q.waitSlots) ||
+		len(p.timings) != len(q.timings) {
 		return false
 	}
 	for i, o := range p.rankOff {
@@ -554,6 +603,11 @@ func (p *Plan) EquivalentTo(q *Plan) bool {
 	}
 	for i := range p.events {
 		if p.events[i] != q.events[i] || p.binds[i] != q.binds[i] {
+			return false
+		}
+	}
+	for i := range p.timings {
+		if p.timings[i] != q.timings[i] {
 			return false
 		}
 	}

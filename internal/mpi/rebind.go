@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 )
 
 // Plan walks: re-executing user closures against a plan with the
@@ -107,28 +108,32 @@ func (p *Proc) walkStep(op *operation) {
 			p.walkFail(op, idx, "send carries payload bytes")
 		}
 		if harvest {
-			pb.bytes = op.bytes
+			if op.bytes > math.MaxInt32 {
+				p.walkFail(op, idx, "size beyond int32")
+			}
+			pb.bytes = int32(op.bytes)
 		}
-		if pe.kind == evSend && (pe.peer != op.peer || pe.tag != op.tag || pb.bytes != op.bytes) {
+		if pe.kind == evSend && (int(pe.peer) != op.peer || int(pe.tag) != op.tag || int(pb.bytes) != op.bytes) {
 			p.walkFail(op, idx, "destination, tag, or size changed")
 		}
 		op.req.slot = pe.slot
 	case opIrecv:
 		want = evRecv
-		if pe.kind == evRecv && (pe.peer != op.peer || pe.tag != op.tag) {
+		if pe.kind == evRecv && (int(pe.peer) != op.peer || int(pe.tag) != op.tag) {
 			p.walkFail(op, idx, "source or tag changed")
 		}
 		op.req.slot = pe.slot
 		// A rebind back-fills receive sizes after the walk, so they read 0.
-		op.req.bytes = pb.bytes
+		op.req.bytes = int(pb.bytes)
 	case opWait:
 		want = evWait
 		if pe.kind == evWait {
-			if int(pe.wLen) != len(op.reqs) {
+			set := w.plan.waitSet(pe)
+			if len(set) != len(op.reqs) {
 				p.walkFail(op, idx, "request count changed")
 			}
 			for i, r := range op.reqs {
-				if r.slot != w.plan.waitSlots[pe.wOff+int32(i)] {
+				if r.slot != set[i] {
 					p.walkFail(op, idx, "request set changed")
 				}
 			}
@@ -274,13 +279,16 @@ func (r *Runner) Rebind(tpl *Plan, fn func(*Proc) error) (*Plan, error) {
 	if r.rebound == nil {
 		r.rebound = &Plan{}
 	}
-	// The binding buffer is Runner-owned and grow-only (the rebound plan's
-	// binds field aliases it, so it must not be recycled through the plan:
-	// *p = *tpl overwrites that field with the template's own array).
+	// The binding and timing buffers are Runner-owned and grow-only (the
+	// rebound plan's binds and timings fields alias them, so they must not
+	// be recycled through the plan: *p = *tpl overwrites those fields with
+	// the template's own arrays).
 	r.rebindBinds = grow(r.rebindBinds, len(tpl.events))
+	r.rebindTimings = grow(r.rebindTimings, len(tpl.timings))
 	p := r.rebound
 	*p = *tpl // alias the immutable skeleton slices
 	p.binds = r.rebindBinds
+	p.timings = r.rebindTimings
 	p.draws = 0
 	p.barrierCost = barrierCostFor(r.opts, cfg, n)
 	if err := r.walk(p, nil, nil, fn); err != nil {
@@ -292,6 +300,7 @@ func (r *Runner) Rebind(tpl *Plan, fn func(*Proc) error) (*Plan, error) {
 	// from their matched sends — exactly what Capture.plan computes for a
 	// fresh capture of this point.
 	noisy := cfg.NoiseAmplitude > 0
+	sends := 0
 	for rank := 0; rank < n; rank++ {
 		for i := tpl.rankOff[rank]; i < tpl.rankOff[rank+1]; i++ {
 			pe := &tpl.events[i]
@@ -299,11 +308,14 @@ func (r *Runner) Rebind(tpl *Plan, fn func(*Proc) error) (*Plan, error) {
 				continue
 			}
 			pb := &p.binds[i]
-			pb.lt = r.net.TimingFor(rank, pe.peer, pb.bytes)
-			if !pb.lt.Local && noisy && pb.lt.TxTime > 0 {
-				pb.draws = true
+			lt := r.net.TimingFor(rank, int(pe.peer), int(pb.bytes))
+			draws := !lt.Local && noisy && lt.TxTime > 0
+			if draws {
 				p.draws++
 			}
+			p.timings[sends] = lt
+			pb.timing = sendTiming(sends, draws)
+			sends++
 			if ps := pe.peerSlot; ps >= 0 {
 				p.binds[tpl.slotEvent[ps]].bytes = pb.bytes
 			}

@@ -217,17 +217,18 @@ func (r *Replayer) replayLane(l int) bool {
 			// The receive's own rank is busy here, so no wait can be
 			// parked on it; no wake needed.
 		case evSend:
-			b := &p.binds[cur]
+			t := p.binds[cur].timing
+			lt := &p.timings[t>>1]
 			var sc, delivered float64
-			if b.lt.Local {
-				sc, delivered = r.ports.TransmitLocal(b.lt, key)
+			if lt.Local {
+				sc, delivered = r.ports.TransmitLocal(*lt, key)
 			} else {
 				f := 1.0
-				if b.draws {
+				if t&1 != 0 {
 					f = r.jit[r.ji]
 					r.ji++
 				}
-				sc, delivered = r.ports.Transmit(l, int(e.srcNIC), int(e.dstNIC), b.lt, key, f)
+				sc, delivered = r.ports.Transmit(l, int(e.srcNIC), int(e.dstNIC), *lt, key, f)
 			}
 			r.reqAt[e.slot] = sc
 			r.pend[e.slot] = 0
@@ -237,7 +238,7 @@ func (r *Replayer) replayLane(l int) bool {
 					r.wake(int(p.slotOwner[ps]))
 				}
 			}
-			key += b.lt.SendOv
+			key += lt.SendOv
 			r.laneClock[rank] = key
 		}
 		if r.clk != nil {
@@ -290,7 +291,7 @@ func (r *Replayer) advance(rank int) {
 			}
 		}
 	case evWait:
-		for _, s := range p.waitSlots[e.wOff : e.wOff+e.wLen] {
+		for _, s := range p.waitSet(e) {
 			if r.pend[s] != 0 {
 				r.parked[rank] = true
 				return
@@ -306,7 +307,7 @@ func (r *Replayer) advance(rank int) {
 // clock and its requests' completion times — the scheduler's scheduleKey.
 func (r *Replayer) waitKey(rank int, e *planEvent) float64 {
 	t := r.laneClock[rank]
-	for _, s := range r.plan.waitSlots[e.wOff : e.wOff+e.wLen] {
+	for _, s := range r.plan.waitSet(e) {
 		if v := r.reqAt[s]; v > t {
 			t = v
 		}
@@ -320,7 +321,7 @@ func (r *Replayer) wake(rank int) {
 		return
 	}
 	e := &r.plan.events[r.cursor[rank]]
-	for _, s := range r.plan.waitSlots[e.wOff : e.wOff+e.wLen] {
+	for _, s := range r.plan.waitSet(e) {
 		if r.pend[s] != 0 {
 			return
 		}

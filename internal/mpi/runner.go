@@ -35,9 +35,10 @@ type Runner struct {
 	// Recycled across NewReplayer calls.
 	replayer *Replayer
 	// Recycled across Rebind calls (rebind.go): the rebound plan header
-	// and its grow-only binding buffer.
-	rebound     *Plan
-	rebindBinds []planBind
+	// and its grow-only binding and timing buffers.
+	rebound       *Plan
+	rebindBinds   []planBind
+	rebindTimings []simnet.LinkTiming
 	// cursor is the plan-walk position of the rank being walked.
 	cursor walkCursor
 }
@@ -175,6 +176,7 @@ func (r *Runner) run(nprocs int, fn func(*Proc) error, record bool) (Result, *Ca
 				barrierCost: rec.barrierCost,
 				slots:       int(rec.nextSlot),
 				payload:     rec.payload,
+				wide:        rec.wide,
 				events:      rec.events,
 				waitSlots:   rec.waitSlots,
 				marks:       rec.marks,

@@ -18,8 +18,9 @@
 // Compare evaluates all three for one (P, m) — one row of the paper's
 // Table 3 — reporting each selector's measured time and its degradation
 // relative to the oracle. ExtendedSelector (extended.go) applies the
-// model-based selection to the beyond-broadcast collective families
-// calibrated through estimate.AlphaBetaCollective.
+// model-based selection to the beyond-broadcast collective families;
+// CalibrateExtended fits one family through estimate.AlphaBetaCollectives,
+// a single calibration sweep over the family's (spec, size) grid.
 //
 // In the paper's terms: internal/model supplies the analytical models
 // (§3), internal/estimate their parameters (§4), and this package the

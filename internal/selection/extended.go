@@ -11,9 +11,10 @@ import (
 )
 
 // ExtendedSelector applies the paper's model-based selection to any
-// collective family calibrated through estimate.AlphaBetaCollective —
-// allgather, allreduce, alltoall — realising the paper's future-work
-// claim that the approach generalises beyond broadcast.
+// collective family calibrated through estimate.AlphaBetaCollectives —
+// allgather, allreduce, alltoall, reduce, gather, scatter and
+// reduce-scatter — realising the paper's future-work claim that the
+// approach generalises beyond broadcast.
 type ExtendedSelector struct {
 	// Cluster names the platform.
 	Cluster string
@@ -28,12 +29,19 @@ type ExtendedSelector struct {
 }
 
 // CalibrateExtended fits per-algorithm parameters for a collective family
-// on a platform, reusing an already-estimated γ. ctx is checked between
-// specs, so a cancelled context stops the calibration at the next
-// algorithm boundary and returns ctx.Err().
+// on a platform, reusing an already-estimated γ. Every (spec, size)
+// experiment of the family runs in one calibration sweep under ctx, so a
+// cancelled context stops it between grid points and returns ctx.Err().
 func CalibrateExtended(ctx context.Context, pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("selection: no specs to calibrate")
+	}
+	res, err := estimate.AlphaBetaCollectives(ctx, pr, specs, g, cfg)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("selection: calibration: %w", err)
 	}
 	sel := &ExtendedSelector{
 		Cluster: pr.Name,
@@ -42,15 +50,8 @@ func CalibrateExtended(ctx context.Context, pr cluster.Profile, specs []estimate
 		Specs:   specs,
 		Params:  make([]model.Hockney, len(specs)),
 	}
-	for i, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := estimate.AlphaBetaCollective(pr, spec, g, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("selection: calibrating %s: %w", spec.Name, err)
-		}
-		sel.Params[i] = res.Params
+	for i, r := range res {
+		sel.Params[i] = r.Params
 	}
 	return sel, nil
 }

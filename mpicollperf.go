@@ -241,8 +241,10 @@ func CollectiveSpecs(op string) ([]CollectiveSpec, error) {
 // collective family on a platform, reusing an already-estimated γ
 // (typically Models.Gamma of a calibrated Selector), and returns a
 // selector for that family — the generalisation of the paper's method
-// beyond broadcast. Selector.BestFor answers the same queries through the
-// bundled shape the daemon serves.
+// beyond broadcast. The family's (algorithm, size) experiments run as one
+// measurement sweep honouring cfg's Workers, Cache, Progress and Metrics.
+// Selector.BestFor answers the same queries through the bundled shape the
+// daemon serves.
 func CalibrateExtended(pr Profile, specs []CollectiveSpec, g Gamma, cfg CalibrationConfig) (*ExtendedSelector, error) {
 	return selection.CalibrateExtended(context.Background(), pr, specs, g, cfg)
 }
