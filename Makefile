@@ -40,9 +40,10 @@ benchsmoke:
 
 # Run the fuzz targets over their seed corpus only (no fuzzing time):
 # each f.Add seed must keep the replay and scheduler engines
-# bit-identical (experiment) and both selectors total (selection).
+# bit-identical (experiment), both selectors total (selection), and the
+# daemon's select-request parser in agreement with encoding/json (wire).
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/
+	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/ ./internal/serve/wire/
 
 # Performance-guideline smoke gate: verify the self-consistency registry
 # on a reduced grid (one cluster, one random perturbation, small P × m

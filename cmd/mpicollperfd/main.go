@@ -50,6 +50,28 @@ func main() {
 	}
 }
 
+// Connection timeouts bound what a slow or idle client can hold: its
+// request headers must arrive within readHeaderTimeout and the whole
+// request within readTimeout, and a keep-alive connection idle for
+// idleTimeout is closed. Every endpoint reads a small JSON body and
+// answers without waiting on a job, so each bound is far above any
+// well-behaved request or the gap between a client's polls.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run starts the daemon and blocks until the listener fails or a signal
 // arrives on stop (factored out of main so tests can drive a full
 // lifecycle in-process).
@@ -92,7 +114,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	fmt.Fprintf(out, "mpicollperfd listening on %s (store %s, %d job workers)\n",
 		bound, *storeDir, *workers)
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -86,3 +86,23 @@ func TestDaemonFlagErrors(t *testing.T) {
 		t.Fatal("unlistenable address should fail")
 	}
 }
+
+// TestHTTPServerBoundsSlowClients checks the daemon's server carries
+// every connection timeout, so a client that trickles its headers or
+// body, or idles on a keep-alive connection, cannot hold it forever;
+// and that each bound leaves room for a slow but honest client.
+func TestHTTPServerBoundsSlowClients(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": hs.ReadHeaderTimeout,
+		"ReadTimeout":       hs.ReadTimeout,
+		"IdleTimeout":       hs.IdleTimeout,
+	} {
+		if d < time.Second {
+			t.Errorf("%s = %v, want a bound of at least a second", name, d)
+		}
+	}
+	if hs.ReadHeaderTimeout > hs.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", hs.ReadHeaderTimeout, hs.ReadTimeout)
+	}
+}

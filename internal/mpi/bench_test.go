@@ -8,8 +8,9 @@ import (
 // isolation: a warm Runner executing programs whose cost is dominated by
 // scheduler work (admit, the pending min-heap, message matching, release)
 // rather than by the simulated algorithms. allocs/op is the number to
-// watch — the steady-state path must stay at zero per operation (a small
-// per-run constant remains: rank goroutines, the FinishTimes copy).
+// watch — the steady-state path must stay at zero per operation (a
+// per-run constant remains: about 13 allocations per rank to build its
+// iter.Pull coroutine, and the FinishTimes copy).
 
 // BenchmarkSchedulerPingPong measures one warm-Runner run of 100 blocking
 // round trips between two ranks — 400 operations through the full
@@ -105,9 +106,9 @@ func BenchmarkSchedulerBarrierStorm(b *testing.B) {
 }
 
 // BenchmarkSchedulerRunOverhead measures the fixed cost of one minimal
-// warm-Runner run (16 ranks, one barrier): goroutine spawn, scheduler
-// reset, and result assembly — the part of a measurement that is not
-// per-operation work.
+// warm-Runner run (16 ranks, one barrier): building and stopping the
+// rank coroutines, scheduler reset, and result assembly — the part of a
+// measurement that is not per-operation work.
 func BenchmarkSchedulerRunOverhead(b *testing.B) {
 	b.ReportAllocs()
 	const n = 16

@@ -3,11 +3,13 @@
 // which the Open MPI collective algorithms of package coll run, and it
 // plays the role Open MPI 3.1 plays in the paper.
 //
-// Each rank is a goroutine executing user code against a *Proc handle.
-// Virtual time is managed by a single deterministic scheduler: a rank's
-// local clock advances only through communication operations, and the
-// scheduler always services the operation with the globally smallest
-// virtual timestamp (ties broken by rank), so a program's virtual timing is
+// Each rank runs user code against a *Proc handle as an iter.Pull
+// coroutine, yielding every operation to a single deterministic scheduler
+// that resumes it with the reply. Only one rank or the scheduler runs at a
+// time, so a rank must never block outside the runtime. A rank's local
+// clock advances only through communication operations, and the scheduler
+// always services the operation with the globally smallest virtual
+// timestamp (ties broken by rank), so a program's virtual timing is
 // bit-reproducible regardless of the Go scheduler, GOMAXPROCS, or wall
 // time.
 //
@@ -50,7 +52,7 @@ import (
 var ErrDeadlock = errors.New("mpi: deadlock")
 
 // errAborted is panicked inside Proc methods when the run has been aborted
-// (by deadlock or by another rank's failure); the rank wrapper recovers it.
+// (by deadlock or by another rank's failure); rankBody recovers it.
 var errAborted = errors.New("mpi: run aborted")
 
 // Result summarises a completed run.
@@ -89,16 +91,16 @@ type Request struct {
 func (r *Request) Bytes() int { return r.bytes }
 
 // Proc is a rank's handle to the runtime. All methods must be called from
-// the goroutine running that rank's function. Methods panic on misuse
-// (invalid peer, buffer truncation, waiting on a foreign request); Run
-// recovers such panics and reports them as errors.
+// the rank's function, which runs as the rank's coroutine. Methods panic
+// on misuse (invalid peer, buffer truncation, waiting on a foreign
+// request); Run recovers such panics and reports them as errors.
 type Proc struct {
-	rank   int
-	size   int
-	sched  *scheduler
-	resume chan reply
-	clock  float64
-	seq    int64
+	rank  int
+	size  int
+	clock float64
+	seq   int64
+	yield func(operation) bool // hands the scheduler an operation; false once the run is over
+	rep   reply                // the scheduler's reply, left before it resumes the rank
 
 	// reqFree recycles waited-on requests; it persists across the runs of
 	// a Runner, so a warm rank allocates no request objects.
@@ -250,10 +252,10 @@ func (p *Proc) checkPeer(peer int, op string) {
 	}
 }
 
-// submit hands an operation to the scheduler and blocks for the reply.
-// In a plan walk there is no scheduler: the operation is checked against
-// the plan, and the clock comes from the replayed release times (echo) or
-// stays frozen (rebind).
+// submit hands an operation to the scheduler and suspends the rank until
+// the reply. In a plan walk there is no scheduler: the operation is
+// checked against the plan, and the clock comes from the replayed release
+// times (echo) or stays frozen (rebind).
 func (p *Proc) submit(op operation) {
 	op.rank = p.rank
 	if p.walk != nil {
@@ -263,12 +265,10 @@ func (p *Proc) submit(op operation) {
 	op.clock = p.clock
 	p.seq++
 	op.seq = p.seq
-	p.sched.ops <- op
-	rep := <-p.resume
-	if rep.abort {
+	if !p.yield(op) || p.rep.abort {
 		panic(errAborted)
 	}
-	p.clock = rep.clock
+	p.clock = p.rep.clock
 }
 
 type opKind int
@@ -361,24 +361,28 @@ func RunOn(net *simnet.Network, nprocs int, fn func(*Proc) error, opts Options) 
 	return NewRunnerOn(net, opts).Run(nprocs, fn)
 }
 
-// runRank wraps a rank function, converting panics (including runtime
-// aborts and API misuse) into an exit operation so the scheduler always
-// learns the rank's fate.
-func runRank(p *Proc, fn func(*Proc) error) {
-	var exitErr error
+// rankCoroutine is rank p's coroutine body. It yields the exit operation
+// only after rankBody has recovered any panic, never from inside the
+// deferred recover, so the scheduler always learns the rank's fate.
+func rankCoroutine(p *Proc, fn func(*Proc) error) func(func(operation) bool) {
+	return func(yield func(operation) bool) {
+		p.yield = yield
+		err := rankBody(p, fn)
+		p.seq++
+		yield(operation{kind: opExit, rank: p.rank, clock: p.clock, seq: p.seq, err: err})
+	}
+}
+
+// rankBody runs fn as rank p, under the scheduler or in a plan walk,
+// converting panics (including runtime aborts and API misuse) into the
+// error the rank exits with.
+func rankBody(p *Proc, fn func(*Proc) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-				exitErr = errAborted
-			} else if err, ok := r.(error); ok {
-				exitErr = err
-			} else {
-				exitErr = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, r)
+			if err, _ = r.(error); err == nil {
+				err = fmt.Errorf("panicked: %v", r)
 			}
 		}
-		p.seq++
-		p.sched.ops <- operation{kind: opExit, rank: p.rank, clock: p.clock, seq: p.seq, err: exitErr}
-		// No reply for exit; the goroutine is done.
 	}()
-	exitErr = fn(p)
+	return fn(p)
 }

@@ -364,10 +364,10 @@ func TestDoubleWaitPanics(t *testing.T) {
 }
 
 func TestForeignRequestPanics(t *testing.T) {
-	// Note: rank goroutines must not synchronise with each other outside
-	// the runtime (the lockstep scheduler requires every running rank to
-	// submit its next operation independently), so we forge a request with
-	// a foreign owner instead of smuggling a real one across goroutines.
+	// Note: ranks must not synchronise with each other outside the runtime
+	// (the scheduler resumes one rank coroutine at a time, and each must
+	// reach its next operation on its own), so we forge a request with a
+	// foreign owner instead of smuggling a real one across ranks.
 	_, err := Run(testConfig(2), 2, func(p *Proc) error {
 		if p.Rank() == 1 {
 			p.Wait(&Request{owner: 0, bound: true})

@@ -65,8 +65,8 @@ type capKey struct {
 	tag int
 }
 
-// capture records the trace of one run. It is owned by the scheduler
-// goroutine; all methods are called from there.
+// capture records the trace of one run. It is owned by the scheduler;
+// all methods are called from its loop.
 type capture struct {
 	nprocs      int
 	net         *simnet.Network

@@ -204,23 +204,15 @@ func (r *Runner) walk(plan *Plan, clk, start []float64, fn func(*Proc) error) er
 // walkRank runs one rank's closure in a plan walk, converting panics and
 // errors into a *RebindError and checking that the rank consumed exactly
 // its slice of the plan.
-func walkRank(p *Proc, fn func(*Proc) error) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("panicked: %v", rec)
-			}
-		}
-		if err == nil && p.walk.next != p.walk.end {
-			err = fmt.Errorf("stopped %d events short of the plan", p.walk.end-p.walk.next)
-		}
-		if _, ok := err.(*RebindError); err != nil && !ok {
-			err = &RebindError{Rank: p.rank, Why: err.Error()}
-		}
-	}()
-	return fn(p)
+func walkRank(p *Proc, fn func(*Proc) error) error {
+	err := rankBody(p, fn)
+	if err == nil && p.walk.next != p.walk.end {
+		err = fmt.Errorf("stopped %d events short of the plan", p.walk.end-p.walk.next)
+	}
+	if _, ok := err.(*RebindError); err != nil && !ok {
+		err = &RebindError{Rank: p.rank, Why: err.Error()}
+	}
+	return err
 }
 
 // EchoRun re-executes fn against plan: every rank runs fn with the

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package mpi
 
 import (
 	"fmt"
+	"iter"
 
 	"mpicollperf/internal/obs"
 	"mpicollperf/internal/simnet"
@@ -9,11 +12,12 @@ import (
 
 // Runner executes simulated MPI programs back to back on one network,
 // reusing the scheduler between runs. A fresh scheduler allocates its
-// channels, queues, and matching state on every Run/RunOn call; a Runner
-// pays that cost once, after which the steady-state per-operation path is
-// allocation-free (operations and requests come from freelists, and every
-// queue keeps its capacity). Measurement sweeps, which execute thousands
-// of short programs per grid point, are the intended caller.
+// queues and matching state on every Run/RunOn call; a Runner pays that
+// cost once (each run builds only its rank coroutines), after which the
+// steady-state per-operation path is allocation-free (operations and
+// requests come from freelists, and every queue keeps its capacity).
+// Measurement sweeps, which execute thousands of short programs per grid
+// point, are the intended caller.
 //
 // Runs on a Runner are bit-identical to Run/RunOn with the same network
 // configuration: the network is Reset before every run (ports idle, noise
@@ -28,6 +32,7 @@ type Runner struct {
 	opts  Options
 	sched *scheduler
 	procs []*Proc
+	stops []func() // the stop functions of the current run's coroutines
 	rec   *capture // recycled across RunCapture calls
 	// Recycled across CompilePlan calls.
 	plan        *Plan
@@ -147,15 +152,21 @@ func (r *Runner) run(nprocs int, fn func(*Proc) error, record bool) (Result, *Ca
 	for len(r.procs) < nprocs {
 		r.procs = append(r.procs, &Proc{rank: len(r.procs)})
 	}
+	// Every rank starts ready; however the run ends, each is stopped.
+	s.procs, s.next, s.ready, r.stops = r.procs, s.next[:0], s.ready[:0], r.stops[:0]
+	defer func() {
+		for _, stop := range r.stops {
+			stop()
+		}
+	}()
 	for i := 0; i < nprocs; i++ {
 		p := r.procs[i]
 		p.size = nprocs
-		p.sched = s
-		p.resume = s.resumes[i]
 		p.clock = 0
 		p.seq = 0
 		p.walk = nil
-		go runRank(p, fn)
+		next, stop := iter.Pull(rankCoroutine(p, fn))
+		s.next, s.ready, r.stops = append(s.next, next), append(s.ready, i), append(r.stops, stop)
 	}
 	res, err := s.loop()
 	if err == nil {

@@ -149,8 +149,8 @@ func pingPongish(p *Proc) error {
 // TestSteadyStateZeroAllocsPerOperation is the acceptance check for the
 // allocation-free hot path: on a warm Runner, adding 1000 extra
 // send/recv/wait operations to a run must add zero heap allocations. The
-// per-run constant (goroutine spawn, the FinishTimes copy, the closure)
-// cancels out in the comparison.
+// per-run constant (the rank coroutines, the FinishTimes copy, the
+// closure) cancels out in the comparison.
 func TestSteadyStateZeroAllocsPerOperation(t *testing.T) {
 	r, err := NewRunner(testConfig(2), Options{})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // scheduler is the deterministic coordinator. It owns all mutable state;
-// rank goroutines only touch it through the ops channel.
+// ranks only touch it by yielding operations from their coroutines.
 //
 // The scheduler is designed for reuse: a Runner resets the same scheduler
 // between runs, so in steady state the per-operation path — admit, the
@@ -23,23 +23,17 @@ type scheduler struct {
 	net    *simnet.Network
 	nprocs int
 	opts   Options
-	ops    chan operation
-	// resumes are per-rank reply channels; they persist across runs of a
-	// reused scheduler.
-	resumes []chan reply
-
-	// running counts ranks currently executing user code (they will submit
-	// exactly one operation each before the scheduler may proceed).
-	running int
-	live    int
+	procs  []*Proc                    // procs[r] receives rank r's replies
+	next   []func() (operation, bool) // next[r] resumes rank r until its next operation
+	ready  []int                      // FIFO of released ranks to resume
+	live   int
 
 	// pending is a binary min-heap of schedulable operations ordered by
 	// (key, rank, seq); a rank has at most one operation in flight, so the
 	// heap never exceeds nprocs entries.
 	pending []*operation
 	// blocked[r] is rank r's wait whose requests are not yet all bound, or
-	// nil. A rank has at most one in-flight operation, so a fixed per-rank
-	// slot replaces the former scan list.
+	// nil (a rank has at most one in-flight operation).
 	blocked   []*operation
 	inBarrier []*operation // ranks parked in the current barrier
 
@@ -157,18 +151,11 @@ func (s *scheduler) reset(net *simnet.Network, nprocs int, opts Options) {
 	s.net = net
 	s.nprocs = nprocs
 	s.opts = opts
-	s.running = nprocs
 	s.live = nprocs
 	s.failErr = nil
 	s.aborted = false
 	s.nops = 0
 
-	if s.ops == nil || cap(s.ops) < nprocs {
-		s.ops = make(chan operation, nprocs)
-	}
-	for len(s.resumes) < nprocs {
-		s.resumes = append(s.resumes, make(chan reply, 1))
-	}
 	for len(s.match) < nprocs {
 		s.match = append(s.match, newMatchState())
 	}
@@ -232,13 +219,14 @@ func (s *scheduler) putOp(o *operation) {
 // loop runs the simulation to completion.
 func (s *scheduler) loop() (Result, error) {
 	for s.live > 0 {
-		// Lockstep: wait until every live, unparked rank has submitted its
-		// next operation, so min-clock selection sees the full frontier.
-		for s.running > 0 {
-			op := <-s.ops
-			s.running--
+		// Lockstep: resume every released rank until it submits its next
+		// operation, so min-clock selection sees the full frontier. Admit
+		// may release more ranks; they join the end of the FIFO.
+		for i := 0; i < len(s.ready); i++ {
+			op, _ := s.next[s.ready[i]]()
 			s.admit(op)
 		}
+		s.ready = s.ready[:0]
 		if s.live == 0 {
 			break
 		}
@@ -332,9 +320,8 @@ func scheduleKey(op *operation) float64 {
 
 // opLess is the strict scheduling order: smallest key first, ties broken
 // by lowest rank, then submission order. (rank, seq) is unique per
-// operation, so this is a total order and the heap minimum is exactly the
-// operation the former linear scan selected — virtual timings are
-// bit-identical to the O(n) implementation.
+// operation, so this is a total order: the order in which ranks are
+// admitted never changes which operation runs next.
 func opLess(a, b *operation) bool {
 	if a.key != b.key {
 		return a.key < b.key
@@ -585,10 +572,10 @@ func ceilLog2(n int) int {
 	return r
 }
 
-// release resumes a rank's goroutine with the given reply.
+// release leaves the reply on the rank's Proc and queues it for resuming.
 func (s *scheduler) release(rank int, rep reply) {
-	s.running++
-	s.resumes[rank] <- rep
+	s.procs[rank].rep = rep
+	s.ready = append(s.ready, rank)
 }
 
 // abortLater arranges for the run to unwind: every parked rank is released

@@ -12,6 +12,8 @@ package wire
 import (
 	"errors"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Version is the wire-schema version this package speaks. Every
@@ -136,65 +138,30 @@ type SelectRequestView struct {
 }
 
 // ErrMalformed reports a select request body the zero-allocation parser
-// rejects: invalid JSON, a string containing escapes, or trailing data.
+// rejects: invalid JSON, a string containing escapes, a profile or op
+// that is not valid UTF-8, a known field that is not an integer or string
+// as the schema says, nesting deeper than 32, or trailing data.
 var ErrMalformed = errors.New("wire: malformed request body")
 
 // ParseSelectRequest parses a v1 select request from b into v without
-// allocating. Unknown fields are skipped; string values must be
-// escape-free (profile and collective names always are). The view
-// aliases b.
+// allocating. Keys match field names the way encoding/json matches them
+// (exactly or under Unicode case folding), unknown fields are skipped,
+// and string values must be escape-free (profile and collective names
+// always are). Whatever it accepts, encoding/json decodes into a
+// SelectRequest with the same values. The view aliases b.
 func ParseSelectRequest(b []byte, v *SelectRequestView) error {
 	*v = SelectRequestView{}
 	i := skipWS(b, 0)
 	if i >= len(b) || b[i] != '{' {
 		return ErrMalformed
 	}
-	i = skipWS(b, i+1)
-	if i < len(b) && b[i] == '}' {
-		i++
-	} else {
-		for {
-			key, j, err := scanString(b, i)
-			if err != nil {
-				return err
-			}
-			i = skipWS(b, j)
-			if i >= len(b) || b[i] != ':' {
-				return ErrMalformed
-			}
-			i = skipWS(b, i+1)
-			switch string(key) {
-			case "profile":
-				v.Profile, i, err = scanString(b, i)
-			case "op":
-				v.Op, i, err = scanString(b, i)
-			case "p":
-				v.P, i, err = scanInt(b, i)
-			case "m":
-				v.M, i, err = scanInt(b, i)
-			case "version":
-				v.Version, i, err = scanInt(b, i)
-			default:
-				i, err = skipValue(b, i)
-			}
-			if err != nil {
-				return err
-			}
-			i = skipWS(b, i)
-			if i >= len(b) {
-				return ErrMalformed
-			}
-			if b[i] == '}' {
-				i++
-				break
-			}
-			if b[i] != ',' {
-				return ErrMalformed
-			}
-			i = skipWS(b, i+1)
-		}
+	i, err := scanContainer(b, i, 0, v)
+	if err != nil {
+		return err
 	}
-	if skipWS(b, i) != len(b) {
+	// encoding/json would rewrite invalid UTF-8 in the bytes the view
+	// aliases; in keys and skipped strings it changes nothing.
+	if skipWS(b, i) != len(b) || !utf8.Valid(v.Profile) || !utf8.Valid(v.Op) {
 		return ErrMalformed
 	}
 	return nil
@@ -255,6 +222,65 @@ func skipWS(b []byte, i int) int {
 	return i
 }
 
+// setField scans the value at b[i:] into the field key names, skipping
+// the value of an unknown key. Like encoding/json it prefers an exact
+// match and otherwise matches under Unicode case folding, so "P",
+// "Profile" and "verſion" (U+017F, the long s) name fields too.
+func (v *SelectRequestView) setField(key, b []byte, i int) (int, error) {
+	var err error
+	switch string(key) {
+	case "profile":
+		v.Profile, i, err = scanString(b, i)
+	case "op":
+		v.Op, i, err = scanString(b, i)
+	case "p":
+		v.P, i, err = scanInt(b, i)
+	case "m":
+		v.M, i, err = scanInt(b, i)
+	case "version":
+		v.Version, i, err = scanInt(b, i)
+	default:
+		for _, name := range selectFields {
+			if foldEqual(key, name) {
+				return v.setField(name, b, i)
+			}
+		}
+		i, err = skipValue(b, i, 1)
+	}
+	return i, err
+}
+
+// selectFields are the JSON names of the SelectRequest fields.
+var selectFields = [][]byte{[]byte("profile"), []byte("op"), []byte("p"), []byte("m"), []byte("version")}
+
+// foldEqual reports whether key equals the ASCII name once each rune is
+// folded to the smallest member of its case-folding set.
+func foldEqual(key, name []byte) bool {
+	j := 0
+	for i := 0; i < len(key); j++ {
+		r, n := rune(key[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(key[i:])
+		}
+		i += n
+		if j == len(name) || foldRune(r) != foldRune(rune(name[j])) {
+			return false
+		}
+	}
+	return j == len(name)
+}
+
+// foldRune returns the smallest rune of r's case-folding set.
+func foldRune(r rune) rune {
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
+}
+
 // scanString scans a JSON string at b[i:], returning its inner bytes.
 // Escapes are rejected — the select schema never needs them.
 func scanString(b []byte, i int) ([]byte, int, error) {
@@ -278,7 +304,8 @@ func scanString(b []byte, i int) ([]byte, int, error) {
 }
 
 // scanInt scans a JSON integer at b[i:]. Fractions and exponents are
-// rejected — the select schema's numbers are all integers.
+// rejected — the select schema's numbers are all integers — and so are
+// leading zeros, as in JSON.
 func scanInt(b []byte, i int) (int, int, error) {
 	neg := false
 	if i < len(b) && b[i] == '-' {
@@ -288,7 +315,7 @@ func scanInt(b []byte, i int) (int, int, error) {
 	start := i
 	n := 0
 	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		if i-start >= 18 {
+		if i-start >= 18 || (i > start && b[start] == '0') {
 			return 0, i, ErrMalformed
 		}
 		n = n*10 + int(b[i]-'0')
@@ -303,8 +330,13 @@ func scanInt(b []byte, i int) (int, int, error) {
 	return n, i, nil
 }
 
-// skipValue skips any JSON value at b[i:], including nested containers.
-func skipValue(b []byte, i int) (int, error) {
+// maxDepth bounds the container nesting the parser accepts, the
+// request object included.
+const maxDepth = 32
+
+// skipValue skips the JSON value at b[i:], validating it as JSON; depth
+// is the number of containers open around it.
+func skipValue(b []byte, i, depth int) (int, error) {
 	if i >= len(b) {
 		return i, ErrMalformed
 	}
@@ -313,37 +345,7 @@ func skipValue(b []byte, i int) (int, error) {
 		_, j, err := scanString(b, i)
 		return j, err
 	case c == '{' || c == '[':
-		var stack [32]byte // open-container kinds; bounds nesting depth
-		depth := 0
-		for i < len(b) {
-			switch b[i] {
-			case '{', '[':
-				if depth == len(stack) {
-					return i, ErrMalformed
-				}
-				stack[depth] = b[i]
-				depth++
-			case '}', ']':
-				depth--
-				if depth < 0 ||
-					(b[i] == '}' && stack[depth] != '{') ||
-					(b[i] == ']' && stack[depth] != '[') {
-					return i, ErrMalformed
-				}
-				if depth == 0 {
-					return i + 1, nil
-				}
-			case '"':
-				_, j, err := scanString(b, i)
-				if err != nil {
-					return j, err
-				}
-				i = j
-				continue
-			}
-			i++
-		}
-		return i, ErrMalformed
+		return scanContainer(b, i, depth, nil)
 	case c == 't':
 		return expect(b, i, "true")
 	case c == 'f':
@@ -351,19 +353,101 @@ func skipValue(b []byte, i int) (int, error) {
 	case c == 'n':
 		return expect(b, i, "null")
 	case c == '-' || (c >= '0' && c <= '9'):
-		i++
-		for i < len(b) {
-			switch c := b[i]; {
-			case c >= '0' && c <= '9', c == '.', c == 'e', c == 'E', c == '+', c == '-':
-				i++
-			default:
-				return i, nil
-			}
-		}
-		return i, nil
+		return skipNumber(b, i)
 	default:
 		return i, ErrMalformed
 	}
+}
+
+// scanContainer scans the object or array at b[i:], validating it as
+// JSON; depth is the number of containers open around it. When v is
+// non-nil the container is the request object, and its members are set
+// into v; everything nested is skipped.
+func scanContainer(b []byte, i, depth int, v *SelectRequestView) (int, error) {
+	if depth == maxDepth {
+		return i, ErrMalformed
+	}
+	object, end := b[i] == '{', byte(']')
+	if object {
+		end = '}'
+	}
+	i = skipWS(b, i+1)
+	if i < len(b) && b[i] == end {
+		return i + 1, nil
+	}
+	for {
+		var key []byte
+		var err error
+		if object {
+			if key, i, err = scanString(b, i); err != nil {
+				return i, err
+			}
+			if i = skipWS(b, i); i >= len(b) || b[i] != ':' {
+				return i, ErrMalformed
+			}
+			i = skipWS(b, i+1)
+		}
+		if object && v != nil {
+			i, err = v.setField(key, b, i)
+		} else {
+			i, err = skipValue(b, i, depth+1)
+		}
+		if err != nil {
+			return i, err
+		}
+		if i = skipWS(b, i); i >= len(b) {
+			return i, ErrMalformed
+		}
+		if b[i] == end {
+			return i + 1, nil
+		}
+		if b[i] != ',' {
+			return i, ErrMalformed
+		}
+		i = skipWS(b, i+1)
+	}
+}
+
+// skipNumber skips the JSON number at b[i:]:
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func skipNumber(b []byte, i int) (int, error) {
+	if b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = skipDigits(b, i)
+	default:
+		return i, ErrMalformed
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return j, ErrMalformed
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return j, ErrMalformed
+		}
+		i = j
+	}
+	return i, nil
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 func expect(b []byte, i int, lit string) (int, error) {

@@ -104,22 +104,61 @@ func TestGoldenSchemaV1(t *testing.T) {
 	}
 }
 
+// validSelectBodies are select requests both the zero-allocation parser
+// and encoding/json accept: unknown fields, whitespace, key case.
+var validSelectBodies = []string{
+	`{"profile":"grisou","p":90,"m":1048576}`,
+	`{"version":1,"profile":"gros","op":"gather","p":16,"m":8192}`,
+	`{ "p" : 4 , "m" : 65536 , "profile" : "grisou2" }`,
+	"{\n\t\"profile\": \"grisou\",\n\t\"op\": \"bcast\",\n\t\"p\": 8,\n\t\"m\": 512\n}",
+	`{"profile":"g","p":-1,"m":0}`,
+	`{"future_field":{"nested":[1,2,{"x":"y"}]},"profile":"grisou","p":2,"m":3,"flag":true,"f2":null,"f3":1.5e-3}`,
+	`{"u1":"skipped string","u2":true,"u3":false,"u4":null,"u5":-1.5e3,"p":7}`,
+	`{"u":["str in array",false,null],"m":12}`,
+	`{"u":[[],{},0,-0.0,1E+2,[{"a":[]}]],"p":0}`,
+	`{"Profile":"gros","OP":"scatter","P":3,"M":4,"Version":1}`, // keys match case-insensitively
+	"{\"ver\u017fion\":1,\"p\":1,\"P\":2}",                      // Unicode folding; the last duplicate wins
+	`{}`,
+}
+
+// malformedSelectBodies are select requests the parser rejects.
+var malformedSelectBodies = []string{
+	``,
+	`[]`,
+	`{"profile":"grisou"`,
+	`{"profile":"gri\"sou","p":1,"m":1}`, // escapes rejected by design
+	`{"p":1.5,"m":1}`,                    // non-integer p
+	`{"p":1,"m":1}{"p":2}`,               // trailing data
+	`{"p":1,,"m":1}`,
+	`{"p":}`,
+	`{"p":999999999999999999999,"m":1}`, // overflow guard
+	`{"p":01,"m":1}`,                    // leading zero
+	`{"unknown":{"a":[}],"p":1}`,
+	`{"p" 1}`,                // missing colon
+	`{"op":"unterminated`,    // string runs off the end
+	`{"u":`,                  // value runs off the end
+	`{"u":[1,2`,              // container runs off the end
+	`{"u":123`,               // number runs off the end
+	`{"u":@}`,                // not a JSON value
+	`{"u":tru}`,              // broken literal
+	`{"u":["a\"b"],"p":1}`,   // escape inside skipped container
+	`{"u":[1 2]}`,            // missing comma inside skipped container
+	`{"u":{"a" 1}}`,          // missing colon inside skipped container
+	`{"u":{1:2}}`,            // non-string key inside skipped container
+	`{"u":[1,]}`,             // trailing comma inside skipped container
+	`{"u":-}`,                // sign without digits
+	`{"u":1.}`,               // fraction without digits
+	`{"u":1e+}`,              // exponent without digits
+	`{"u":00}`,               // leading zero in a skipped number
+	"{\"profile\":\"\xff\"}", // invalid UTF-8
+	`{"u":` + strings.Repeat("[", 33) + strings.Repeat("]", 33) + `}`, // nesting over the 32 bound
+}
+
 // TestParseSelectRequestAgreesWithEncodingJSON cross-checks the
 // zero-allocation parser against the stdlib on a spread of valid
-// bodies, including unknown fields and whitespace.
+// bodies.
 func TestParseSelectRequestAgreesWithEncodingJSON(t *testing.T) {
-	bodies := []string{
-		`{"profile":"grisou","p":90,"m":1048576}`,
-		`{"version":1,"profile":"gros","op":"gather","p":16,"m":8192}`,
-		`{ "p" : 4 , "m" : 65536 , "profile" : "grisou2" }`,
-		"{\n\t\"profile\": \"grisou\",\n\t\"op\": \"bcast\",\n\t\"p\": 8,\n\t\"m\": 512\n}",
-		`{"profile":"g","p":-1,"m":0}`,
-		`{"future_field":{"nested":[1,2,{"x":"y"}]},"profile":"grisou","p":2,"m":3,"flag":true,"f2":null,"f3":1.5e-3}`,
-		`{"u1":"skipped string","u2":true,"u3":false,"u4":null,"u5":-1.5e3,"p":7}`,
-		`{"u":["str in array",false,null],"m":12}`,
-		`{}`,
-	}
-	for _, body := range bodies {
+	for _, body := range validSelectBodies {
 		var want SelectRequest
 		if err := json.Unmarshal([]byte(body), &want); err != nil {
 			t.Fatalf("stdlib rejects %q: %v", body, err)
@@ -128,43 +167,50 @@ func TestParseSelectRequestAgreesWithEncodingJSON(t *testing.T) {
 		if err := ParseSelectRequest([]byte(body), &v); err != nil {
 			t.Fatalf("ParseSelectRequest(%q) = %v", body, err)
 		}
-		got := SelectRequest{
-			Version: v.Version, Profile: string(v.Profile), Op: string(v.Op), P: v.P, M: v.M,
-		}
-		if got != want {
+		if got := v.request(); got != want {
 			t.Fatalf("%q: parser %+v, stdlib %+v", body, got, want)
 		}
 	}
 }
 
 func TestParseSelectRequestRejectsMalformed(t *testing.T) {
-	bodies := []string{
-		``,
-		`[]`,
-		`{"profile":"grisou"`,
-		`{"profile":"gri\"sou","p":1,"m":1}`, // escapes rejected by design
-		`{"p":1.5,"m":1}`,                    // non-integer p
-		`{"p":1,"m":1}{"p":2}`,               // trailing data
-		`{"p":1,,"m":1}`,
-		`{"p":}`,
-		`{"p":999999999999999999999,"m":1}`, // overflow guard
-		`{"unknown":{"a":[}],"p":1}`,
-		`{"p" 1}`,              // missing colon
-		`{"op":"unterminated`,  // string runs off the end
-		`{"u":`,                // value runs off the end
-		`{"u":[1,2`,            // container runs off the end
-		`{"u":123`,             // number runs off the end
-		`{"u":@}`,              // not a JSON value
-		`{"u":tru}`,            // broken literal
-		`{"u":["a\"b"],"p":1}`, // escape inside skipped container
-		`{"u":` + strings.Repeat("[", 33) + strings.Repeat("]", 33) + `}`, // nesting over the 32 bound
-	}
-	for _, body := range bodies {
+	for _, body := range malformedSelectBodies {
 		var v SelectRequestView
 		if err := ParseSelectRequest([]byte(body), &v); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("ParseSelectRequest(%q) = %v, want ErrMalformed", body, err)
 		}
 	}
+}
+
+// FuzzParseSelectRequest is the parser's differential against
+// encoding/json: whenever ParseSelectRequest accepts a body, the stdlib
+// must accept it too and decode the same field values. The parser may
+// reject more than the stdlib (escapes, null, deep nesting), never less.
+func FuzzParseSelectRequest(f *testing.F) {
+	for _, body := range validSelectBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range malformedSelectBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var v SelectRequestView
+		if ParseSelectRequest(body, &v) != nil {
+			return
+		}
+		var want SelectRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("parser accepts %q, encoding/json rejects it: %v", body, err)
+		}
+		if got := v.request(); got != want {
+			t.Fatalf("%q: parser %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}
+
+// request copies a parsed view into the struct encoding/json decodes.
+func (v *SelectRequestView) request() SelectRequest {
+	return SelectRequest{Version: v.Version, Profile: string(v.Profile), Op: string(v.Op), P: v.P, M: v.M}
 }
 
 // TestAppendSelectResponseMatchesEncodingJSON pins the hand-rolled
@@ -205,5 +251,18 @@ func TestCodecZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("codec allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkParseSelectRequest times the daemon's select-body parse on a
+// canonical body, as encoding/json renders one.
+func BenchmarkParseSelectRequest(b *testing.B) {
+	body := []byte(`{"version":1,"profile":"gros","op":"allreduce","p":64,"m":1048576}`)
+	var v SelectRequestView
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ParseSelectRequest(body, &v); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
