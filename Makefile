@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build test race doccheck benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci fmtcheck vet build test race benchbuild doccheck benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
 
-ci: fmtcheck vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
+ci: fmtcheck vet build test race benchbuild benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
 
 # Every tracked Go file must be gofmt-clean. The file list comes from git,
 # not a directory walk, so build outputs under the tree are never checked.
@@ -27,6 +27,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (perfbench/) is its own module built against
+# this one, so the root `go test ./...` never compiles it: vet and build
+# it here, so an internal API change cannot break it unnoticed.
+benchbuild:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # The per-artifact paper benchmarks (tables and figures at reduced scale).
 benchpaper:

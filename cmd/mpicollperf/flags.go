@@ -58,7 +58,7 @@ func commandFlags(name string, stderr io.Writer, clusterDefault string, use shar
 		fs.IntVar(&c.workers, "workers", 0, "concurrent measurements (0 = GOMAXPROCS, 1 = serial; clamped to GOMAXPROCS)")
 	}
 	if use&withEngine != 0 {
-		fs.StringVar(&c.engine, "engine", "auto", "execution engine: auto (replay with scheduler fallback), scheduler, replay")
+		fs.StringVar(&c.engine, "engine", "auto", "execution engine: auto (replay with scheduler fallback) or scheduler")
 	}
 	if use&withCache != 0 {
 		fs.StringVar(&c.cacheDir, "cache", "", "reuse measurements from this directory (created if missing)")

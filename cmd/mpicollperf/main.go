@@ -34,8 +34,8 @@
 //	               verify-guidelines): auto captures each point's execution
 //	               plan and re-times repetitions with the replay engine,
 //	               falling back to the full scheduler when the structure is
-//	               not plan-stable; scheduler forces the slow path; replay
-//	               forbids the fallback. All three measure bit-identically.
+//	               not plan-stable; scheduler forces the slow path. Both
+//	               measure bit-identically.
 //	-cache DIR     reuse measurements from DIR (calibrate, decision,
 //	               sweep), so a decision run after `calibrate -cache DIR`
 //	               replays the calibration from disk with no measurement.

@@ -44,21 +44,14 @@ func BenchmarkSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			// The template store persists across the b.N sweeps, as a
-			// repeated calibration's does (each run's structure classes are
-			// captured once, then every later point — and every later
-			// sweep — rebinds). Results are bit-identical with or without
-			// the store. One untimed warm-up sweep captures the class
-			// templates so every timed iteration measures the homogeneous
-			// steady state, as BenchmarkSweepWarmPool and
-			// BenchmarkSweepCached do; the cold capture cost is recorded
-			// per path by BenchmarkPlanCache.
-			sw := Sweep{Profile: pr, Settings: benchSweepSettings, Workers: workers, Templates: mpi.NewTemplateStore()}
+			// Pool-less, so every sweep builds its workers' Runners and
+			// captures its structure classes into a Run-scoped template
+			// store: the cold path a one-shot sweep pays.
+			// BenchmarkSweepWarmPool is the same grid with both kept warm
+			// across sweeps; the per-point capture cost is recorded per
+			// path by BenchmarkPlanCache.
+			sw := Sweep{Profile: pr, Settings: benchSweepSettings, Workers: workers}
 			b.ReportMetric(float64(len(grid)), "points/sweep")
-			if _, err := sw.Run(context.Background(), grid); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sw.Run(context.Background(), grid); err != nil {
 					b.Fatal(err)
@@ -122,8 +115,8 @@ func BenchmarkPlanCache(b *testing.B) {
 
 // BenchmarkSweepWarmPool is BenchmarkSweep with a pre-warmed RunnerPool
 // attached: the delta against the pool-less workers=N line is what Runner
-// (and simulator) construction costs a repeated sweep — the situation of
-// every multi-stage calibration.
+// (and simulator) construction and per-sweep template capture cost a
+// repeated sweep — the situation of every multi-stage calibration.
 func BenchmarkSweepWarmPool(b *testing.B) {
 	pr, grid := benchGrid(b)
 	for _, workers := range []int{1, 8} {

@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the measurement cache: content-addressed keys covering the
-// complete experiment identity, an in-memory store sharded to stay off
-// the sweep workers' critical path, and an optional JSON-file disk layer.
+// complete experiment identity, an in-memory map under one mutex, and an
+// optional JSON-file disk layer.
 
 // cacheKeyBlob is the canonical serialisation hashed into a cache key. It
 // spells out every input that determines a measurement — the full cluster
@@ -68,40 +68,28 @@ func cacheKey(pr cluster.Profile, pt Point, set Settings) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cacheShards is the number of independently locked stripes. 16 is
-// comfortably past the worker counts sweeps run with, so two workers
-// collide on a stripe lock only by birthday accident, not by design.
-const cacheShards = 16
-
-// cacheShard is one independently locked stripe of the in-memory store.
-type cacheShard struct {
-	mu  sync.Mutex
-	mem map[string]Measurement
-}
-
 // Cache is a content-addressed measurement store shared by sweeps. Keys
 // cover the complete experiment identity, so a cache never returns a
 // measurement for a different profile, point, or methodology — reusing
 // one cache across clusters and tools is safe.
 //
-// A Cache always holds entries in memory, sharded across independently
-// locked stripes so concurrent sweep workers do not serialise on one
-// mutex; NewDiskCache additionally persists each entry as a JSON file
-// named <key>.json in a directory, so separate process invocations
+// A Cache always holds entries in memory, behind one mutex that guards
+// only the map; NewDiskCache additionally persists each entry as a JSON
+// file named <key>.json in a directory, so separate process invocations
 // (`mpicollperf calibrate`, then `decision` over the same grid) skip
-// already-measured points. All methods are safe for concurrent use.
+// already-measured points. File I/O runs outside the lock: keys are
+// content addresses, so two workers racing to load or store the same
+// entry read or write the same bytes. All methods are safe for
+// concurrent use.
 type Cache struct {
-	shards [cacheShards]cacheShard
-	dir    string
+	mu  sync.Mutex
+	mem map[string]Measurement
+	dir string
 }
 
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].mem = make(map[string]Measurement)
-	}
-	return c
+	return &Cache{mem: make(map[string]Measurement)}
 }
 
 // NewDiskCache returns a cache backed by dir, creating it if necessary.
@@ -114,58 +102,39 @@ func NewDiskCache(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// shard maps a key to its stripe (FNV-1a over the key, which is already a
-// hash — any byte mix distributes it uniformly).
-func (c *Cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cacheShards]
-}
-
 // Len reports the number of in-memory entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.mem)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.mem)
 }
 
 func (c *Cache) get(key string) (Measurement, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.mem[key]; ok {
-		return m, true
-	}
-	if c.dir == "" {
-		return Measurement{}, false
+	c.mu.Lock()
+	m, ok := c.mem[key]
+	c.mu.Unlock()
+	if ok || c.dir == "" {
+		return m, ok
 	}
 	data, err := os.ReadFile(filepath.Join(c.dir, key+".json"))
 	if err != nil {
 		return Measurement{}, false
 	}
-	var m Measurement
 	if err := json.Unmarshal(data, &m); err != nil {
 		// A truncated or foreign file is treated as a miss; the fresh
 		// measurement will overwrite it.
 		return Measurement{}, false
 	}
-	s.mem[key] = m
+	c.mu.Lock()
+	c.mem[key] = m
+	c.mu.Unlock()
 	return m, true
 }
 
 func (c *Cache) put(key string, m Measurement) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem[key] = m
+	c.mu.Lock()
+	c.mem[key] = m
+	c.mu.Unlock()
 	if c.dir == "" {
 		return
 	}

@@ -305,7 +305,7 @@ func TestPerturbedReplayMatchesScheduler(t *testing.T) {
 
 func TestParseEngine(t *testing.T) {
 	for s, want := range map[string]Engine{
-		"auto": EngineAuto, "scheduler": EngineScheduler, "replay": EngineReplay,
+		"auto": EngineAuto, "scheduler": EngineScheduler,
 	} {
 		e, err := ParseEngine(s)
 		if err != nil || e != want {
@@ -315,8 +315,14 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", e, e.String(), s)
 		}
 	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
+	for _, s := range []string{"warp", "replay"} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Errorf("ParseEngine accepted %q", s)
+		}
+	}
+	// The test-only engine keeps its name for metrics and subtest labels.
+	if got := EngineReplay.String(); got != "replay" {
+		t.Errorf("EngineReplay.String() = %q, want replay", got)
 	}
 }
 

@@ -38,8 +38,9 @@ const (
 	// EngineScheduler runs every repetition under the full MPI scheduler.
 	EngineScheduler
 	// EngineReplay is EngineAuto without the fallback: a measurement whose
-	// structure varies across repetitions fails with an error. Useful for
-	// asserting that the fast path is actually taken.
+	// structure varies across repetitions fails with an error. It is a
+	// test hook for asserting that the fast path is actually taken, so
+	// ParseEngine does not accept it.
 	EngineReplay
 )
 
@@ -56,17 +57,15 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses an -engine flag value.
+// ParseEngine parses an -engine flag value: "auto" or "scheduler".
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto":
 		return EngineAuto, nil
 	case "scheduler":
 		return EngineScheduler, nil
-	case "replay":
-		return EngineReplay, nil
 	default:
-		return 0, fmt.Errorf("experiment: unknown engine %q (auto, scheduler, replay)", s)
+		return 0, fmt.Errorf("experiment: unknown engine %q (auto, scheduler)", s)
 	}
 }
 
@@ -194,7 +193,7 @@ var (
 	mPlanRebinds     = "experiment_plan_rebinds_total"
 	// mPlanSingletons counts points a sweep measured without their
 	// structure class: the class had no other point in the Run, so its
-	// template would never have been rebound (see Sweep.Templates).
+	// template would never have been rebound (see Sweep.DisableTemplates).
 	mPlanSingletons = "experiment_plan_singletons_total"
 	// mCaptureDedup counts captures avoided by single-flight election: a
 	// worker that blocked on another worker's in-flight capture of the

@@ -121,60 +121,49 @@ func TestSweepPoolBitIdenticalAndClamped(t *testing.T) {
 	if pending := m.Gauge("sweep_points_pending").Value(); pending != 0 {
 		t.Fatalf("sweep_points_pending = %v after a complete sweep, want 0", pending)
 	}
-	if chunks := m.Counter("sweep_chunks_total").Value(); chunks == 0 {
-		t.Fatal("sweep_chunks_total = 0; workers claimed no chunks")
-	}
 }
 
-// TestCacheShardedConcurrent hammers one in-memory cache from many
-// goroutines over overlapping keys: every get must return either a miss
-// or the exact measurement put under that key, and the final entry count
-// must equal the distinct keys written.
-func TestCacheShardedConcurrent(t *testing.T) {
-	c := NewCache()
-	const keys, workers = 64, 16
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				k := fmt.Sprintf("key-%d", (w+i)%keys)
-				want := float64((w + i) % keys)
-				if m, ok := c.get(k); ok && m.Mean != want {
-					errs <- fmt.Errorf("key %s: got mean %v, want %v", k, m.Mean, want)
-					return
-				}
-				c.put(k, Measurement{Mean: want, Reps: 1})
-				if m, ok := c.get(k); !ok || m.Mean != want {
-					errs <- fmt.Errorf("key %s: lost own put (ok=%v mean=%v)", k, ok, m.Mean)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+// TestCacheConcurrent hammers one cache — in memory, and backed by a
+// directory — from many goroutines over overlapping keys: every get must
+// return either a miss or the exact measurement put under that key, and
+// the final entry count must equal the distinct keys written.
+func TestCacheConcurrent(t *testing.T) {
+	disk, err := NewDiskCache(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Len(); got != keys {
-		t.Fatalf("Len() = %d, want %d", got, keys)
-	}
-}
-
-// TestCacheShardSpread sanity-checks the stripe function: real sha256
-// cache keys must land on more than a couple of the 16 shards.
-func TestCacheShardSpread(t *testing.T) {
-	pr := cluster.Grisou()
-	c := NewCache()
-	seen := make(map[*cacheShard]bool)
-	for m := 1; m <= 64; m++ {
-		key := cacheKey(pr, Point{Alg: coll.BcastAlgorithms()[0], Procs: 8, MsgBytes: m * 1024}, Settings{})
-		seen[c.shard(key)] = true
-	}
-	if len(seen) < cacheShards/2 {
-		t.Fatalf("64 keys landed on only %d/%d shards", len(seen), cacheShards)
+	for name, c := range map[string]*Cache{"memory": NewCache(), "disk": disk} {
+		t.Run(name, func(t *testing.T) {
+			const keys, workers = 64, 16
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 400; i++ {
+						k := fmt.Sprintf("key-%d", (w+i)%keys)
+						want := float64((w + i) % keys)
+						if m, ok := c.get(k); ok && m.Mean != want {
+							errs <- fmt.Errorf("key %s: got mean %v, want %v", k, m.Mean, want)
+							return
+						}
+						c.put(k, Measurement{Mean: want, Reps: 1})
+						if m, ok := c.get(k); !ok || m.Mean != want {
+							errs <- fmt.Errorf("key %s: lost own put (ok=%v mean=%v)", k, ok, m.Mean)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if got := c.Len(); got != keys {
+				t.Fatalf("Len() = %d, want %d", got, keys)
+			}
+		})
 	}
 }

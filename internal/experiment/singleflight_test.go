@@ -74,8 +74,8 @@ func TestTemplateSingleFlight(t *testing.T) {
 }
 
 // TestSweepClassGroupedGridOrder pins the scheduler's output contract:
-// class-grouped execution reorders the work (class leaders first, the
-// rest in chunks) but the results slice still lines up with the input
+// class-grouped execution reorders the work (class leaders first, then
+// the rest) but the results slice still lines up with the input
 // grid, index for index, identical to a serial sweep — deterministic
 // grid-order results are what the goldens, the tables, and the fitting
 // layers key on.

@@ -168,9 +168,8 @@ type Progress func(done, total int, r Result)
 // bit-identical to running the same grid serially with a fresh simulator
 // per point — the scheduler inside each simulated MPI run, the noise
 // stream, and the adaptive repetition loop are all per-measurement
-// deterministic. Work is handed out in contiguous chunks of grid points
-// claimed from an atomic cursor, so workers synchronise once per chunk,
-// not once per point.
+// deterministic. Workers claim one grid point at a time from an atomic
+// cursor.
 //
 // The zero value is not usable; Profile must be set. All other fields are
 // optional.
@@ -197,22 +196,18 @@ type Sweep struct {
 	// have been built for this Profile (NewRunnerPool does exactly that);
 	// lending a pool across different profiles is a programming error.
 	Pool *mpi.RunnerPool
-	// Templates, if non-nil, is the plan-template store the replay engine
-	// uses to capture each structure class once and rebind every other
-	// point of the class goroutine-free (mpi.Runner.Rebind). When nil and
-	// templating is not disabled, Run uses the Pool's store (which
-	// persists across sweeps) or, pool-less, a store scoped to the Run.
-	// A Run-scoped store holds only classes with at least two points in
-	// the grid: a singleton class's template could never be rebound, so
-	// its point is measured by capture and replay without publishing.
-	// Templates are keyed by structure class within one platform, so a
-	// store must not be shared across Profiles; samples are bit-identical
-	// with templating on, off, or partially warm.
-	Templates *mpi.TemplateStore
 	// DisableTemplates switches the plan-template fast path off: every
 	// point captures under the scheduler as in the pre-template engine.
-	// Results are bit-identical either way; the switch exists for
-	// benchmarking and for pinning that equivalence in tests.
+	// Otherwise (and unless the scheduler engine is forced) the replay
+	// engine captures each structure class once and rebinds every other
+	// point of the class goroutine-free (mpi.Runner.Rebind), keeping the
+	// templates in the Pool's store — which persists across sweeps — or,
+	// pool-less, in a store scoped to the Run. A Run-scoped store holds
+	// only classes with at least two points in the grid: a singleton
+	// class's template could never be rebound, so its point is measured
+	// by capture and replay without publishing. Results are bit-identical
+	// either way; the switch is the untemplated reference path that
+	// benchmarks and tests compare against.
 	DisableTemplates bool
 	// Cache, if non-nil, is consulted before and filled after each
 	// measurement, keyed by the full experiment identity (profile,
@@ -221,11 +216,11 @@ type Sweep struct {
 	// Progress, if non-nil, is invoked after each point completes.
 	Progress Progress
 	// Metrics, if non-nil, receives sweep counters (points measured and
-	// served from cache, per-engine repetition counts, fallback tallies,
-	// chunks claimed), level gauges (effective workers, points not yet
-	// completed), a sweep_run_seconds span per Run, and the cache size
-	// gauge. Workers share the registry; it is never consulted for
-	// decisions, so results are bit-identical with or without it.
+	// served from cache, per-engine repetition counts, fallback tallies),
+	// level gauges (effective workers, points not yet completed), a
+	// sweep_run_seconds span per Run, and the cache size gauge. Workers
+	// share the registry; it is never consulted for decisions, so
+	// results are bit-identical with or without it.
 	Metrics *obs.Registry
 }
 
@@ -238,24 +233,6 @@ func NewRunnerPool(pr cluster.Profile, capacity int, m *obs.Registry) (*mpi.Runn
 	return mpi.NewRunnerPool(capacity, func() (*mpi.Runner, error) {
 		return newProfileRunner(pr, m)
 	}, m)
-}
-
-// sweepChunk returns the number of grid points a worker claims per visit
-// to the shared cursor: enough that claiming is a rounding error next to
-// measuring, small enough that the grid tail stays balanced (each worker
-// gets ~4 claims' worth of slack to even out point-cost variance).
-func sweepChunk(points, workers int) int {
-	if workers <= 1 {
-		return points
-	}
-	chunk := points / (workers * 4)
-	if chunk < 1 {
-		return 1
-	}
-	if chunk > 32 {
-		return 32
-	}
-	return chunk
 }
 
 // Run measures every point of the grid and returns the results in grid
@@ -288,13 +265,13 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if s.Pool != nil && workers > s.Pool.Cap() {
 		workers = s.Pool.Cap()
 	}
-	// Resolve the plan-template store: an explicit one wins, then the
-	// pool's (persistent across sweeps), then a Run-scoped store so that
-	// structure classes recurring within this grid still capture once.
-	// The scheduler engine never consults templates.
-	tmpls := s.Templates
+	// Resolve the plan-template store: the pool's (persistent across
+	// sweeps), else a Run-scoped store so that structure classes
+	// recurring within this grid still capture once. The scheduler
+	// engine never consults templates.
+	var tmpls *mpi.TemplateStore
 	scoped := false // the store lives only as long as this Run
-	if tmpls == nil && !s.DisableTemplates && s.Settings.Engine != EngineScheduler {
+	if !s.DisableTemplates && s.Settings.Engine != EngineScheduler {
 		if s.Pool != nil {
 			tmpls = s.Pool.Templates()
 		} else {
@@ -302,33 +279,30 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 			scoped = true
 		}
 	}
-	if s.DisableTemplates {
-		tmpls = nil
-	}
 
 	// Class-aware scheduling: group the grid by structure class so each
 	// class's expensive template capture (≈3.3× a rebind) runs exactly
-	// once, as early as possible, and never twice concurrently. leaders
-	// holds the grid index of each class's first point in grid order —
-	// the exact points a serial templated sweep would capture — and rest
-	// holds everything else (later points of known classes, plus any
-	// class-less points). Workers drain leaders one point at a time (one
-	// claim = one capture), then fan out over rest in contiguous chunks;
-	// a worker that reaches a class whose capture is still in flight
-	// blocks briefly on the template future inside the measurement
-	// (mpi.TemplateStore.Acquire) instead of duplicating the capture.
-	// Untemplated sweeps skip the grouping: leaders stays empty and rest
-	// is the whole grid in order, the plain chunked distribution.
+	// once, as early as possible, and never twice concurrently. order
+	// lists each class's first point in grid order — the exact points a
+	// serial templated sweep would capture — then everything else
+	// (later points of known classes, plus any class-less points) in grid
+	// order. Workers claim order one point at a time, so the leaders are
+	// all claimed before any follower; a worker that reaches a class
+	// whose capture is still in flight blocks briefly on the template
+	// future inside the measurement (mpi.TemplateStore.Acquire) instead
+	// of duplicating the capture. Untemplated sweeps skip the grouping:
+	// order is the grid in order.
 	//
 	// With a Run-scoped store, a class with a single point in the grid is
 	// a singleton: its template would die with the Run unused, so the
 	// point is measured with no class attached (no flight, no clone, no
 	// retained plan). alone marks those points.
-	var leaders, rest []int
+	order := make([]int, 0, len(points))
+	leaders := 0
 	var alone []bool
 	if tmpls != nil {
 		size := make(map[string]int, len(points))
-		rest = make([]int, 0, len(points))
+		var rest []int
 		for i, pt := range points {
 			key := pt.classKey()
 			if key == "" {
@@ -338,27 +312,27 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 			if size[key]++; size[key] > 1 {
 				rest = append(rest, i)
 			} else {
-				leaders = append(leaders, i)
+				order = append(order, i)
 			}
 		}
+		leaders = len(order)
 		if scoped {
 			alone = make([]bool, len(points))
-			for _, i := range leaders {
+			for _, i := range order {
 				alone[i] = size[points[i].classKey()] == 1
 			}
 		}
+		order = append(order, rest...)
 	} else {
-		rest = make([]int, len(points))
-		for i := range rest {
-			rest[i] = i
+		for i := range points {
+			order = append(order, i)
 		}
 	}
 
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
-	s.Metrics.Gauge("experiment_sweep_class_groups").Set(float64(len(leaders)))
+	s.Metrics.Gauge("experiment_sweep_class_groups").Set(float64(leaders))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
-	chunks := s.Metrics.Counter("sweep_chunks_total")
 	sp := s.Metrics.Span("sweep_run")
 	defer func() {
 		sp.End()
@@ -371,14 +345,12 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	defer cancel()
 
 	var (
-		results    = make([]Result, len(points))
-		nextLeader atomic.Int64 // cursor over leaders: one claim = one capture
-		next       atomic.Int64 // cursor: index of the first unclaimed rest entry
-		chunk      = int64(sweepChunk(len(rest), workers))
-		wg         sync.WaitGroup
-		mu         sync.Mutex // guards firstErr, done, and serialises Progress
-		firstErr   error
-		done       int
+		results  = make([]Result, len(points))
+		next     atomic.Int64 // cursor: index of the first unclaimed order entry
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards firstErr, done, and serialises Progress
+		firstErr error
+		done     int
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -417,15 +389,20 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 				}
 				return runner, err
 			}
-			// work measures grid point i and records its result. results
-			// indices are disjoint across workers, so the slice needs no
-			// lock — the WaitGroup publishes the writes to Run's return.
-			// Only Progress (serialised by contract) takes the mutex.
-			work := func(i int) bool {
+			// Each claim measures one grid point and records its result.
+			// results indices are disjoint across workers, so the slice
+			// needs no lock — the WaitGroup publishes the writes to Run's
+			// return. Only Progress (serialised by contract) takes the mutex.
+			for {
+				k := next.Add(1) - 1
+				if k >= int64(len(order)) || ctx.Err() != nil {
+					return
+				}
+				i := order[k]
 				r, err := s.measure(points[i], acquire, tmpls, alone != nil && alone[i])
 				if err != nil {
 					fail(fmt.Errorf("sweep point %d (%v): %w", i, points[i], err))
-					return false
+					return
 				}
 				results[i] = r
 				if s.Progress != nil {
@@ -435,40 +412,6 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 					mu.Unlock()
 				}
 				pending.Add(-1)
-				return true
-			}
-			// Phase 1: capture leaders, one class per claim.
-			for {
-				li := nextLeader.Add(1) - 1
-				if li >= int64(len(leaders)) {
-					break
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if !work(leaders[li]) {
-					return
-				}
-			}
-			// Phase 2: fan the remaining points out in contiguous chunks.
-			for {
-				end := next.Add(chunk)
-				start := end - chunk
-				if start >= int64(len(rest)) {
-					return
-				}
-				if end > int64(len(rest)) {
-					end = int64(len(rest))
-				}
-				chunks.Inc()
-				for i := start; i < end; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					if !work(rest[i]) {
-						return
-					}
-				}
 			}
 		}()
 	}
@@ -485,7 +428,8 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 // measure serves one point, through the cache when one is attached.
 // acquire returns the worker's Runner, creating or borrowing it on the
 // first measured point; cached points never touch a Runner. tmpls, which
-// may be nil, is the resolved plan-template store (see Sweep.Templates);
+// may be nil, is the resolved plan-template store (see
+// Sweep.DisableTemplates);
 // a singleton point is measured without it, because no other point of
 // the Run could rebind its class's template.
 func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi.TemplateStore, singleton bool) (Result, error) {

@@ -213,15 +213,19 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 		}
 	}
 
-	// A pre-warmed persistent store: a second sweep over the same grid
-	// captures nothing at all.
-	store := mpi.NewTemplateStore()
-	warm := Sweep{Profile: pr, Settings: set, Workers: 4, Templates: store}
+	// A pre-warmed persistent store — a pool's, which outlives its
+	// sweeps: a second sweep over the same grid captures nothing at all.
+	// The measurement counters live in the pooled Runners' registry.
+	reg := obs.NewRegistry()
+	pool, err := NewRunnerPool(pr, 4, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := Sweep{Profile: pr, Settings: set, Workers: 4, Pool: pool}
 	if _, err := warm.Run(context.Background(), grid); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	warm.Metrics = reg
+	tpls, rebinds := reg.Counter(mPlanTemplates).Value(), reg.Counter(mPlanRebinds).Value()
 	got, err := warm.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +235,14 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 			t.Fatalf("warm sweep point %v: mean %x, scheduler %x", got[i].Point, got[i].Meas.Mean, want[i].Meas.Mean)
 		}
 	}
-	if tpls := reg.Counter("experiment_plan_templates_total").Value(); tpls != 0 {
-		t.Fatalf("warm sweep captured %d times, want 0", tpls)
+	if d := reg.Counter(mPlanTemplates).Value() - tpls; d != 0 {
+		t.Fatalf("warm sweep captured %d times, want 0", d)
 	}
-	if rebinds := reg.Counter("experiment_plan_rebinds_total").Value(); rebinds != int64(len(grid)) {
-		t.Fatalf("warm sweep rebound %d points, want all %d", rebinds, len(grid))
+	if d := reg.Counter(mPlanRebinds).Value() - rebinds; d != int64(len(grid)) {
+		t.Fatalf("warm sweep rebound %d points, want all %d", d, len(grid))
 	}
-	if store.Len() != classes {
-		t.Fatalf("store holds %d templates, want %d classes", store.Len(), classes)
+	if n := pool.Templates().Len(); n != classes {
+		t.Fatalf("store holds %d templates, want %d classes", n, classes)
 	}
 }
 
@@ -281,8 +285,8 @@ func TestSweepPoolTemplatesPersist(t *testing.T) {
 
 // TestSweepSingletonClasses: a Run-scoped store publishes no template
 // for a class with a single point in the grid (nothing could rebind it
-// before the store dies), while a Pool's store and an explicit store,
-// which outlive the Run, still publish every class.
+// before the store dies), while a Pool's store, which outlives the Run,
+// still publishes every class.
 func TestSweepSingletonClasses(t *testing.T) {
 	pr := templateProfile(t)
 	// Binomial segments, so the two sizes are two one-point classes.
@@ -317,14 +321,5 @@ func TestSweepSingletonClasses(t *testing.T) {
 	}
 	if n := pool.Templates().Len(); n != len(grid) {
 		t.Fatalf("pool store holds %d templates, want %d", n, len(grid))
-	}
-
-	store := mpi.NewTemplateStore()
-	explicit := Sweep{Profile: pr, Settings: fastSettings(), Workers: 1, Templates: store}
-	if _, err := explicit.Run(context.Background(), grid); err != nil {
-		t.Fatal(err)
-	}
-	if n := store.Len(); n != len(grid) {
-		t.Fatalf("explicit store holds %d templates, want %d", n, len(grid))
 	}
 }

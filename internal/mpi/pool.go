@@ -2,7 +2,7 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"mpicollperf/internal/obs"
 )
@@ -29,13 +29,11 @@ type RunnerPool struct {
 	// releases it. The free list is LIFO so the most recently used — and
 	// therefore warmest — Runner is handed out first, and a lone borrower
 	// keeps hitting the same Runner instead of round-robining the pool
-	// into existence. It is a lock-free Treiber stack: workers returning
-	// Runners between grid points pop and push with a single CAS instead
-	// of serialising on a pool mutex. Each Put pushes a fresh node, never
-	// a recycled one, so a pop CAS can't be fooled by a head that was
-	// popped and re-pushed in between (the classic ABA hazard).
+	// into existence. mu guards free only; a borrow or return holds it
+	// for one slice push or pop.
 	sem     chan struct{}
-	free    atomic.Pointer[freeNode]
+	mu      sync.Mutex
+	free    []*Runner
 	factory func() (*Runner, error)
 	// tmpl is the pool's plan-template store: borrowers of the same pool
 	// measure on the same platform, so structure-class templates captured
@@ -45,12 +43,6 @@ type RunnerPool struct {
 
 	created *obs.Counter
 	inUse   *obs.Gauge
-}
-
-// freeNode is one Treiber-stack cell of the pool's free list.
-type freeNode struct {
-	r    *Runner
-	next *freeNode
 }
 
 // NewRunnerPool builds a pool of at most capacity Runners, constructed on
@@ -93,16 +85,13 @@ func (p *RunnerPool) Templates() *TemplateStore { return p.tmpl }
 func (p *RunnerPool) Get() (*Runner, error) {
 	<-p.sem
 	var r *Runner
-	for {
-		head := p.free.Load()
-		if head == nil {
-			break
-		}
-		if p.free.CompareAndSwap(head, head.next) {
-			r = head.r
-			break
-		}
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
+	p.mu.Unlock()
 	if r == nil {
 		var err error
 		if r, err = p.factory(); err != nil {
@@ -124,13 +113,8 @@ func (p *RunnerPool) Put(r *Runner) {
 		return
 	}
 	p.inUse.Add(-1)
-	n := &freeNode{r: r}
-	for {
-		head := p.free.Load()
-		n.next = head
-		if p.free.CompareAndSwap(head, n) {
-			break
-		}
-	}
+	p.mu.Lock()
+	p.free = append(p.free, r)
+	p.mu.Unlock()
 	p.sem <- struct{}{}
 }

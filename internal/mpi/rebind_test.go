@@ -391,7 +391,7 @@ func TestRebindSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTemplateStoreConcurrent exercises the sharded store under
+// TestTemplateStoreConcurrent exercises the store under
 // concurrent publishers and readers (meaningful under -race): clones in,
 // shared plans out, equivalent throughout.
 func TestTemplateStoreConcurrent(t *testing.T) {

@@ -6,10 +6,9 @@ import (
 )
 
 // TemplateStore is a concurrency-safe map from structure-class keys to
-// plan templates, striped into fixed shards (FNV-1a on the key) so that
-// sweep workers publishing and looking up templates contend on a shard,
-// never on the whole store — the same discipline as the experiment
-// layer's measurement cache.
+// plan templates, under one mutex. The lock guards only map lookups and
+// flight bookkeeping — never a capture — and a sweep touches it a few
+// times per grid point, so one lock is all the traffic needs.
 //
 // A template is the plan of the first captured point of its structure
 // class; every later point of the class rebinds it (Runner.Rebind)
@@ -27,13 +26,7 @@ import (
 // stored template wholesale; readers that already hold the old plan keep
 // using it, which is benign — both plans are validated for the class.
 type TemplateStore struct {
-	shards [templateShards]templateShard
-}
-
-const templateShards = 16
-
-type templateShard struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[string]*templateEntry
 }
 
@@ -48,7 +41,7 @@ type templateEntry struct {
 }
 
 // completed reports whether the entry's flight has finished. Callers
-// must hold the shard lock (close happens under it too, so the select
+// must hold the store lock (close happens under it too, so the select
 // never races a concurrent close).
 func (e *templateEntry) completed() bool {
 	select {
@@ -61,40 +54,19 @@ func (e *templateEntry) completed() bool {
 
 // NewTemplateStore builds an empty store.
 func NewTemplateStore() *TemplateStore {
-	s := &TemplateStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*templateEntry)
-	}
-	return s
-}
-
-// shard picks the shard for a key: FNV-1a, folded to the shard count.
-func (s *TemplateStore) shard(key string) *templateShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &s.shards[h%templateShards]
+	return &TemplateStore{m: make(map[string]*templateEntry)}
 }
 
 // Get returns the template stored under key, or nil. It never blocks: a
 // capture in flight reads as absent. The returned plan is shared and
 // immutable: rebind it, never mutate it.
 func (s *TemplateStore) Get(key string) *Plan {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	e := sh.m[key]
-	done := e != nil && e.completed()
-	sh.mu.RUnlock()
-	if !done {
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil && e.completed() {
+		return e.plan
 	}
-	return e.plan
+	return nil
 }
 
 // Acquire resolves key's template with single-flight capture election:
@@ -115,20 +87,15 @@ func (s *TemplateStore) Get(key string) *Plan {
 // measurement, so the wait is bounded by one capture (≈ the scheduler
 // repetition plus echo validation).
 func (s *TemplateStore) Acquire(key string) (p *Plan, release func(), waited time.Duration) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	e := sh.m[key]
-	sh.mu.RUnlock()
+	s.mu.Lock()
+	e := s.m[key]
 	if e == nil {
-		sh.mu.Lock()
-		if e = sh.m[key]; e == nil {
-			e = &templateEntry{done: make(chan struct{})}
-			sh.m[key] = e
-			sh.mu.Unlock()
-			return nil, func() { s.abandon(key, e) }, 0
-		}
-		sh.mu.Unlock()
+		e = &templateEntry{done: make(chan struct{})}
+		s.m[key] = e
+		s.mu.Unlock()
+		return nil, func() { s.abandon(key, e) }, 0
 	}
+	s.mu.Unlock()
 	select {
 	case <-e.done:
 		return e.plan, nil, 0
@@ -145,13 +112,12 @@ func (s *TemplateStore) Acquire(key string) (p *Plan, release func(), waited tim
 // completed — in particular after the leader's own Put — and can never
 // affect a different, later flight under the same key.
 func (s *TemplateStore) abandon(key string, e *templateEntry) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if sh.m[key] == e && !e.completed() {
-		delete(sh.m, key)
+	s.mu.Lock()
+	if s.m[key] == e && !e.completed() {
+		delete(s.m, key)
 		close(e.done)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Put stores a clone of p under key. A capture flight pending on the key
@@ -159,32 +125,28 @@ func (s *TemplateStore) abandon(key string, e *templateEntry) {
 // previously published template is replaced.
 func (s *TemplateStore) Put(key string, p *Plan) {
 	q := p.Clone()
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if e := sh.m[key]; e != nil && !e.completed() {
+	s.mu.Lock()
+	if e := s.m[key]; e != nil && !e.completed() {
 		e.plan = q
 		close(e.done)
 	} else {
 		done := make(chan struct{})
 		close(done)
-		sh.m[key] = &templateEntry{done: done, plan: q}
+		s.m[key] = &templateEntry{done: done, plan: q}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Len returns the number of published templates (captures in flight do
 // not count until their Put).
 func (s *TemplateStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.m {
-			if e.completed() && e.plan != nil {
-				n++
-			}
+	for _, e := range s.m {
+		if e.completed() && e.plan != nil {
+			n++
 		}
-		sh.mu.RUnlock()
 	}
 	return n
 }

@@ -147,10 +147,9 @@ const (
 const (
 	EngineAuto      = experiment.EngineAuto
 	EngineScheduler = experiment.EngineScheduler
-	EngineReplay    = experiment.EngineReplay
 )
 
-// ParseEngine parses an engine name ("auto", "scheduler", "replay"), as
+// ParseEngine parses an engine name ("auto" or "scheduler"), as
 // the mpicollperf command's -engine flag does.
 func ParseEngine(s string) (Engine, error) { return experiment.ParseEngine(s) }
 

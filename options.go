@@ -49,8 +49,7 @@ func WithCache(c *MeasurementCache) Option {
 }
 
 // WithEngine selects the measurement execution engine (default
-// EngineAuto). Engines are bit-identical in their results; EngineReplay
-// additionally asserts that the replay fast path is taken.
+// EngineAuto). Engines are bit-identical in their results.
 func WithEngine(e Engine) Option {
 	return func(o *options) { o.engine, o.engineSet = e, true }
 }
